@@ -11,21 +11,38 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .capacity import check_search
-from .errors import DivisionByZero, FieldMismatch, NotPrime, ZeroInput
+from .errors import CapacityExceeded, DivisionByZero, FieldMismatch, NotPrime, ZeroInput
+
+
+# Miller-Rabin on the primes 2..41 is exact for every n below this bound
+# (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Trial division; plenty for moduli up to 10^6 and beyond."""
+    """Deterministic Miller-Rabin; undecidable sizes raise CapacityExceeded."""
     if n < 2:
         return False
-    for small in (2, 3):
-        if n % small == 0:
-            return n == small
-    d = 5
-    while d * d <= n:
-        if n % d == 0 or n % (d + 2) == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_BOUND:
+        raise CapacityExceeded(f"prime test of {n} exceeds capacity bound {_MR_BOUND}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 6
     return True
 
 

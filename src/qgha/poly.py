@@ -1,8 +1,14 @@
 """Dense univariate polynomials over an exact field.
 
-The indeterminate is written h throughout.  Coefficients are stored in
-ascending order with no trailing zeros; the zero polynomial has an empty
-coefficient tuple and degree NEG_INF, which compares below every integer.
+The indeterminate is written h throughout.  A polynomial is stored on
+integers: `_nums`, the numerators in ascending order with no trailing zeros,
+over one denominator `_den`.  `_normal` keeps the form canonical: over F_p
+the numerators are residues in [0, p) and `_den` is 1; over Q, `_den` > 0
+and gcd(content, `_den`) is 1.  So equal polynomials have equal integers,
+and addition, multiplication and composition run one integer code path for
+both fields.  The public `coeffs`, a tuple of `Scalar`s, is built on first
+access and cached.  The zero polynomial has no numerators and degree
+NEG_INF, which compares below every integer.
 """
 
 from __future__ import annotations
@@ -17,15 +23,9 @@ from .fields import FieldSpec, Scalar
 NEG_INF = float("-inf")
 
 
-def _clear_denominators(values: list) -> tuple[list, int]:
-    """Write a list of Fractions as integer numerators over one denominator."""
-    den = 1
-    for v in values:
-        den = lcm(den, v.denominator)
-    return [int(v * den) for v in values], den
-
-
-def _int_conv(a: list, b: list) -> list:
+def _int_conv(a, b) -> list:
+    if not a or not b:
+        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, av in enumerate(a):
         if av:
@@ -34,81 +34,71 @@ def _int_conv(a: list, b: list) -> list:
     return out
 
 
-def _raw_add(a: list, b: list, p) -> list:
-    if p is not None:
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] = (out[i] + v) % p
-        while out and not out[-1]:
-            out.pop()
-        return out
-    ai, da = _clear_denominators(a)
-    bi, db = _clear_denominators(b)
-    den = lcm(da, db)
-    fa, fb = den // da, den // db
-    if len(ai) < len(bi):
-        ai, bi, fa, fb = bi, ai, fb, fa
-    out = [v * fa for v in ai]
-    for i, v in enumerate(bi):
-        out[i] += v * fb
-    while out and not out[-1]:
-        out.pop()
-    return [Fraction(n, den) for n in out]
+def _normal(nums: list, den: int, p) -> tuple[list, int]:
+    """Canonical (numerators, denominator) of nums/den, den > 0.
 
-
-def _raw_mul(a: list, b: list, p) -> list:
-    if not a or not b:
-        return []
-    if p is not None:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, av in enumerate(a):
-            if av:
-                for j, bv in enumerate(b):
-                    out[i + j] = (out[i + j] + av * bv) % p
-        while out and not out[-1]:
-            out.pop()
-        return out
-    ai, da = _clear_denominators(a)
-    bi, db = _clear_denominators(b)
-    out = _int_conv(ai, bi)
-    while out and not out[-1]:
-        out.pop()
-    den = da * db
-    return [Fraction(n, den) for n in out]
+    The one place the two fields differ: residues mod p over F_p (where den
+    is always 1), a gcd with the denominator over Q.
+    """
+    if p is None:
+        g = den
+        for v in nums:
+            if g == 1:
+                break
+            g = gcd(g, v)
+        if g != 1:
+            nums = [v // g for v in nums]
+            den //= g
+    else:
+        nums = [v % p for v in nums]
+    while nums and not nums[-1]:
+        nums.pop()
+    return nums, den
 
 
 class Poly:
-    __slots__ = ("coeffs", "field")
+    __slots__ = ("_nums", "_den", "field", "_coeffs")
 
     def __init__(self, coeffs, field: FieldSpec):
-        cleaned = [field.scalar(c) for c in coeffs]
-        while cleaned and cleaned[-1].is_zero():
-            cleaned.pop()
-        self.coeffs = tuple(cleaned)
+        values = [field.scalar(c).value for c in coeffs]
+        den = lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (den // v.denominator) for v in values]
+        self._set(nums, den, field)
+
+    def _set(self, nums: list, den: int, field: FieldSpec) -> None:
+        nums, den = _normal(nums, den, field.p)
+        self._nums = tuple(nums)
+        self._den = den
         self.field = field
+        self._coeffs = None
 
     @classmethod
-    def _from_values(cls, values: list, field: FieldSpec) -> Poly:
-        # values must already be canonical for the field, with no trailing zeros
+    def _make(cls, nums: list, den: int, field: FieldSpec) -> Poly:
         self = object.__new__(cls)
-        self.coeffs = tuple(Scalar(v, field) for v in values)
-        self.field = field
+        self._set(nums, den, field)
         return self
 
-    def _values(self) -> list:
-        return [c.value for c in self.coeffs]
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Scalars, ascending, no trailing zeros."""
+        if self._coeffs is None:
+            field, den = self.field, self._den
+            if field.is_rationals:
+                values = [Fraction(n, den) for n in self._nums]
+            else:
+                values = self._nums
+            self._coeffs = tuple(Scalar(v, field) for v in values)
+        return self._coeffs
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, field: FieldSpec) -> Poly:
-        return cls((), field)
+        return cls._make([], 1, field)
 
     @classmethod
     def one(cls, field: FieldSpec) -> Poly:
-        return cls((1,), field)
+        return cls._make([1], 1, field)
 
     @classmethod
     def const(cls, value: Scalar) -> Poly:
@@ -116,29 +106,29 @@ class Poly:
 
     @classmethod
     def h(cls, field: FieldSpec) -> Poly:
-        return cls((0, 1), field)
+        return cls._make([0, 1], 1, field)
 
     # -- inspection ------------------------------------------------------
 
     def degree(self):
         """Degree as an int, or NEG_INF for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self._nums) - 1 if self._nums else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._nums
 
     def lead(self) -> Scalar:
-        if not self.coeffs:
+        if not self._nums:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def coeff(self, i: int) -> Scalar:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
+        return self.coeffs[i] if 0 <= i < len(self._nums) else self.field.zero
 
     def monomials(self):
         """Yield (exponent, coefficient) for each nonzero coefficient, ascending."""
         for j, c in enumerate(self.coeffs):
-            if not c.is_zero():
+            if self._nums[j]:
                 yield j, c
 
     def single_monomial(self):
@@ -160,9 +150,16 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        return Poly._from_values(
-            _raw_add(self._values(), other._values(), self.field.p), self.field
-        )
+        a, b = self._nums, other._nums
+        da, db = self._den, other._den
+        if len(a) < len(b):
+            a, b, da, db = b, a, db, da
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        out = [v * fa for v in a]
+        for i, v in enumerate(b):
+            out[i] += v * fb
+        return Poly._make(out, den, self.field)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -170,7 +167,7 @@ class Poly:
         return self + (-other)
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.field)
+        return Poly._make([-v for v in self._nums], self._den, self.field)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -178,12 +175,16 @@ class Poly:
             if self.is_zero() or other.is_zero():
                 return Poly.zero(self.field)
             check_degree(self.degree() + other.degree())
-            return Poly._from_values(
-                _raw_mul(self._values(), other._values(), self.field.p), self.field
+            return Poly._make(
+                _int_conv(self._nums, other._nums), self._den * other._den, self.field
             )
         if isinstance(other, (Scalar, int)):
-            s = self.field.scalar(other)
-            return Poly([c * s for c in self.coeffs], self.field)
+            s = self.field.scalar(other).value
+            return Poly._make(
+                [v * s.numerator for v in self._nums],
+                self._den * s.denominator,
+                self.field,
+            )
         return NotImplemented
 
     def __rmul__(self, other):
@@ -227,10 +228,14 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return (
+            self.field == other.field
+            and self._den == other._den
+            and self._nums == other._nums
+        )
 
     def __hash__(self):
-        return hash((self.coeffs, self.field))
+        return hash((self._nums, self._den, self.field))
 
     # -- evaluation and substitution --------------------------------------
 
@@ -242,55 +247,32 @@ class Poly:
         return acc
 
     def compose(self, inner: Poly) -> Poly:
-        """self(inner(h)) by Horner accumulation."""
+        """self(inner(h)) by integer Horner accumulation.
+
+        With self = sum n_i h^i / D of degree d and inner = m / E,
+        self(inner) = (sum n_i m^i E^(d-i)) / (D E^d).
+        """
         self._check(inner)
         if self.degree() >= 1 and inner.degree() >= 1:
             check_degree(self.degree() * inner.degree())
         p = self.field.p
-        if p is not None:
-            inner_values = inner._values()
-            acc: list = []
-            for c in reversed(self.coeffs):
-                acc = _raw_mul(acc, inner_values, p)
-                value = c.value
+        nums, m, e = self._nums, inner._nums, inner._den
+        d = len(nums) - 1
+        acc: list = []
+        for i in range(d, -1, -1):
+            # _normal with denominator 1 reduces mod p and is a no-op over Q
+            acc, _ = _normal(_int_conv(acc, m), 1, p)
+            if nums[i]:
+                add = nums[i] * e ** (d - i)
                 if acc:
-                    acc[0] = (acc[0] + value) % p
-                elif value:
-                    acc = [value]
-            while acc and not acc[-1]:
-                acc.pop()
-            return Poly._from_values(acc, self.field)
-        # over Q: integer Horner over a running common denominator, one
-        # Fraction reduction per coefficient at the very end
-        inner_ints, inner_den = _clear_denominators(inner._values())
-        acc_ints: list = []
-        acc_den = 1
-        for c in reversed(self.coeffs):
-            if acc_ints:
-                acc_ints = _int_conv(acc_ints, inner_ints)
-                acc_den *= inner_den
-            value = c.value
-            if value:
-                den = lcm(acc_den, value.denominator)
-                if den != acc_den:
-                    factor = den // acc_den
-                    acc_ints = [v * factor for v in acc_ints]
-                    acc_den = den
-                add = int(value * acc_den)
-                if acc_ints:
-                    acc_ints[0] += add
+                    acc[0] += add
                 else:
-                    acc_ints = [add]
-        while acc_ints and not acc_ints[-1]:
-            acc_ints.pop()
-        return Poly._from_values(
-            [Fraction(n, acc_den) for n in acc_ints], self.field
-        )
+                    acc = [add]
+        return Poly._make(acc, self._den * e ** max(d, 0), self.field)
 
     def derivative(self) -> Poly:
-        return Poly(
-            [self.coeffs[i] * i for i in range(1, len(self.coeffs))], self.field
-        )
+        nums = [i * v for i, v in enumerate(self._nums)]
+        return Poly._make(nums[1:], self._den, self.field)
 
     # -- display -----------------------------------------------------------
 
@@ -366,22 +348,17 @@ def _divisors(n: int) -> list[int]:
 def _rational_roots(p: Poly) -> set[Scalar]:
     field = p.field
     roots: set[Scalar] = set()
-    coeffs = [c.value for c in p.coeffs]
+    # p and its numerators differ by the constant 1/_den: same roots
+    ints = list(p._nums)
     low = 0
-    while coeffs[low] == 0:
+    while ints[low] == 0:
         low += 1
     if low:
         roots.add(field.zero)
-        coeffs = coeffs[low:]
-    if len(coeffs) == 1:
+        ints = ints[low:]
+    if len(ints) == 1:
         return roots
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
+    content = gcd(*ints)
     ints = [c // content for c in ints]
     for u in _divisors(ints[0]):
         for v in _divisors(ints[-1]):

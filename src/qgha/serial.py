@@ -16,7 +16,7 @@ import json
 import re
 
 from .algebra import AlgebraParams
-from .classify import AutGroupDescription, GduaPresentation, IsoWitness
+from .classify import AutGroupDescription, GduaPresentation
 from .errors import SchemaError
 from .fields import FieldSpec, Scalar
 from .poly import Poly
@@ -104,10 +104,6 @@ def dump_algebra(algebra: AlgebraParams, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(algebra_to_dict(algebra), handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def witness_to_dict(witness: IsoWitness) -> dict:
-    return witness.to_dict()
 
 
 def aut_to_dict(description: AutGroupDescription) -> dict:

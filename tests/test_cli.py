@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qgha
 from qgha.cli import main, run
 
 
@@ -274,3 +278,16 @@ def test_main_writes_streams(q2_h2_h, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_python_dash_m_matches_run(q1_h2_h):
+    src = os.path.dirname(os.path.dirname(qgha.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["analyze", q1_h2_h]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgha", *argv], capture_output=True, text=True, env=env
+    )
+    expected = run(argv)
+    assert proc.returncode == expected.exit_code == 0
+    assert proc.stdout == expected.payload

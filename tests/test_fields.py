@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -156,3 +157,25 @@ def test_large_prime_field_arithmetic():
     assert a ** 5 == big.scalar(pow(123456, 5, 999983))
     with pytest.raises(CapacityExceeded):
         nth_roots(2, a)
+
+
+def test_primality_of_large_moduli():
+    start = time.perf_counter()
+    assert FieldSpec(10**18 + 3).p == 10**18 + 3
+    assert FieldSpec(10**18 + 9).p == 10**18 + 9
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(NotPrime):
+        FieldSpec(10**18 + 1)  # 101 * 9901 * 999999000001
+    with pytest.raises(NotPrime):
+        FieldSpec(3215031751)  # strong pseudoprime to the bases 2, 3, 5 and 7
+    for composite in (1, 4, 91, 561, 999983 * 1000003):
+        with pytest.raises(NotPrime):
+            FieldSpec(composite)
+
+
+def test_primality_beyond_exact_bound():
+    # 2^89 - 1 is prime but above the bound where Miller-Rabin is exact
+    with pytest.raises(CapacityExceeded, match="3317044064679887385961981"):
+        FieldSpec(2**89 - 1)
+    with pytest.raises(NotPrime):
+        FieldSpec(2**89)  # a small factor still decides it

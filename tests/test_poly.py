@@ -195,3 +195,126 @@ def test_f7_roots_match_brute_force(cs):
         return
     brute = {s for s in F7.elements() if p.evaluate(s).is_zero()}
     assert poly_roots(p) == brute
+
+
+# -- differential tests against sympy.Poly over QQ and GF(p) ---------------
+
+F2 = FieldSpec(2)
+F17 = FieldSpec(17)
+FIELDS = [QQ, F2, F7, F17]
+
+
+def to_sympy(p: Poly):
+    sympy = pytest.importorskip("sympy")
+    domain = sympy.QQ if p.field.is_rationals else sympy.GF(p.field.p)
+    coeffs = [sympy.Rational(str(c)) for c in reversed(p.coeffs)]
+    return sympy.Poly.from_list(coeffs, sympy.Symbol("h"), domain=domain)
+
+
+def from_sympy(sp, field: FieldSpec) -> Poly:
+    return Poly([Fraction(str(c)) for c in reversed(sp.all_coeffs())], field)
+
+
+def _coefficient(field: FieldSpec):
+    if field.is_rationals:
+        return st.fractions(min_value=-6, max_value=6, max_denominator=6)
+    # unreduced representatives exercise the residue normalisation
+    return st.integers(-2 * field.p, 2 * field.p)
+
+
+def _poly(field: FieldSpec, max_len: int = 6):
+    return st.lists(_coefficient(field), max_size=max_len).map(
+        lambda cs: Poly(cs, field)
+    )
+
+
+@st.composite
+def field_and_polys(draw, count: int, max_len: int = 6):
+    field = draw(st.sampled_from(FIELDS))
+    return (field, *(draw(_poly(field, max_len)) for _ in range(count)))
+
+
+@given(args=field_and_polys(2))
+@settings(max_examples=80, deadline=None)
+def test_ring_ops_match_sympy(args):
+    field, a, b = args
+    sa, sb = to_sympy(a), to_sympy(b)
+    assert a + b == from_sympy(sa + sb, field)
+    assert a - b == from_sympy(sa - sb, field)
+    assert -a == from_sympy(-sa, field)
+    assert a * b == from_sympy(sa * sb, field)
+
+
+@given(args=field_and_polys(1), k=st.integers(-40, 40), d=st.integers(1, 9))
+@settings(max_examples=80, deadline=None)
+def test_scalar_mul_matches_sympy(args, k, d):
+    field, a = args
+    if field.p is not None and d % field.p == 0:
+        d = 1
+    s = field.scalar(Fraction(k, d))
+    expected = from_sympy(to_sympy(a) * to_sympy(Poly.const(s)), field)
+    assert a * s == expected
+    assert s * a == expected
+    assert a * k == from_sympy(to_sympy(a) * k, field)
+    assert k * a == a * k
+
+
+@given(args=field_and_polys(2, max_len=5))
+@settings(max_examples=80, deadline=None)
+def test_compose_matches_sympy(args):
+    field, a, b = args
+    assert a.compose(b) == from_sympy(to_sympy(a).compose(to_sympy(b)), field)
+
+
+@given(args=field_and_polys(2, max_len=4), k=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_sigma_pow_matches_sympy(args, k):
+    field, f, p = args
+    expected = to_sympy(p)
+    for _ in range(k):
+        expected = expected.compose(to_sympy(f))
+    assert sigma_pow(f, k, p) == from_sympy(expected, field)
+
+
+@given(args=field_and_polys(2))
+@settings(max_examples=80, deadline=None)
+def test_divmod_matches_sympy(args):
+    field, a, b = args
+    if b.is_zero():
+        return
+    q, r = to_sympy(a).div(to_sympy(b))
+    assert divmod(a, b) == (from_sympy(q, field), from_sympy(r, field))
+
+
+def _same_poly(p: Poly, q: Poly) -> None:
+    assert p == q
+    assert hash(p) == hash(q)
+    assert p.coeffs == q.coeffs
+    assert [type(c.value) for c in p.coeffs] == [type(c.value) for c in q.coeffs]
+
+
+@given(args=field_and_polys(3))
+@settings(max_examples=80, deadline=None)
+def test_canonical_form_independent_of_construction(args):
+    field, a, b, c = args
+    expected = to_sympy(a) * to_sympy(b) + to_sympy(c)
+    built = Poly([Fraction(str(v)) for v in reversed(expected.all_coeffs())], field)
+    _same_poly(a * b + c, built)
+    _same_poly((a * b + c) - c + c, built)
+
+
+@given(
+    nums=st.lists(st.integers(-30, 30), max_size=6),
+    k=st.integers(1, 12),
+    d=st.integers(1, 12),
+)
+@settings(max_examples=80, deadline=None)
+def test_canonical_form_cancels_common_factor(nums, k, d):
+    # numerators and denominator share the factor k in every construction
+    direct = Poly([Fraction(n, d) for n in nums], QQ)
+    _same_poly(Poly([n * k for n in nums], QQ) * QQ.scalar(Fraction(1, k * d)), direct)
+    _same_poly(Poly([Fraction(n * k, k * d) for n in nums], QQ), direct)
+    halves = Poly([Fraction(n, 2 * d) for n in nums], QQ)
+    _same_poly(halves + halves, direct)
+    for c in direct.coeffs:
+        assert isinstance(c.value, Fraction)
