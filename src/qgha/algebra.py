@@ -185,9 +185,14 @@ class Element:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result = self.algebra.one()
-        for _ in range(exponent):
-            result = result * self
+        # square and multiply: x^n, y^n and h^n take O(log n) products
+        result, square = self.algebra.one(), self
+        while exponent:
+            if exponent & 1:
+                result = result * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
         return result
 
     def __eq__(self, other):

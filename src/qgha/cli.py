@@ -14,8 +14,9 @@ Subcommands:
     convert ...                     down-up / generalized down-up conversions
 
 Exit codes: 0 success, 1 usage, 2 input parsing, 3 precondition or regime,
-4 capacity.  Identical inputs produce byte-identical outputs.  The
-QGHA_CAPACITY environment variable overrides the degree/search bound.
+4 capacity; each QghaError subclass declares its own as `exit_code`.
+Identical inputs produce byte-identical outputs.  The QGHA_CAPACITY
+environment variable overrides the degree/search bound.
 """
 
 from __future__ import annotations
@@ -34,24 +35,7 @@ from .classify import (
     is_isomorphic,
     to_gdua,
 )
-from .errors import (
-    AlgebraMismatch,
-    CapacityExceeded,
-    DegenerateAlgebra,
-    DivisionByZero,
-    FieldMismatch,
-    NoFixedPointInField,
-    NonSplitQuadratic,
-    NotPrime,
-    ParseError,
-    PreconditionViolated,
-    SchemaError,
-    UnsupportedRegime,
-    WrongDegree,
-    ZeroInput,
-    ZeroPolynomial,
-    ZeroScale,
-)
+from .errors import QghaError
 from .exprparse import parse_element_expr
 from .fields import FieldSpec
 from .rewrite import oracle_multiply
@@ -78,24 +62,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_REGIME = 3
-EXIT_CAPACITY = 4
-
-_PARSE_ERRORS = (SchemaError, ParseError, NotPrime)
-_REGIME_ERRORS = (
-    PreconditionViolated,
-    UnsupportedRegime,
-    WrongDegree,
-    NonSplitQuadratic,
-    NoFixedPointInField,
-    DegenerateAlgebra,
-    ZeroScale,
-    ZeroInput,
-    ZeroPolynomial,
-    FieldMismatch,
-    AlgebraMismatch,
-    DivisionByZero,
-    ValueError,
-)
 
 
 class _UsageError(Exception):
@@ -328,11 +294,9 @@ def run(argv) -> CommandResult:
         return CommandResult(EXIT_USAGE, error=f"usage error: {exc}")
     except OSError as exc:
         return CommandResult(EXIT_PARSE, error=f"error: {exc}")
-    except _PARSE_ERRORS as exc:
-        return CommandResult(EXIT_PARSE, error=f"error: {exc}")
-    except CapacityExceeded as exc:
-        return CommandResult(EXIT_CAPACITY, error=f"error: {exc}")
-    except _REGIME_ERRORS as exc:
+    except QghaError as exc:
+        return CommandResult(exc.exit_code, error=f"error: {exc}")
+    except ValueError as exc:
         return CommandResult(EXIT_REGIME, error=f"error: {exc}")
 
 

@@ -2,11 +2,16 @@
 
 
 class QghaError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; `exit_code` is the
+    CLI exit status: 2 input parsing, 3 precondition or regime, 4 capacity."""
+
+    exit_code = 3
 
 
 class NotPrime(QghaError):
     """A prime-field modulus failed the primality check."""
+
+    exit_code = 2
 
 
 class FieldMismatch(QghaError):
@@ -31,6 +36,8 @@ class ZeroPolynomial(QghaError):
 
 class CapacityExceeded(QghaError):
     """A degree or search bound was exceeded; see the capacity module."""
+
+    exit_code = 4
 
 
 class AlgebraMismatch(QghaError):
@@ -65,9 +72,13 @@ class NonSplitQuadratic(QghaError):
 class SchemaError(QghaError):
     """An algebra description file does not match the expected schema."""
 
+    exit_code = 2
+
 
 class ParseError(QghaError):
     """Element-expression parsing failed; carries the offending position."""
+
+    exit_code = 2
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")

@@ -8,9 +8,10 @@ Grammar (whitespace insignificant between tokens):
     atom   := 'x' | 'y' | 'h' | scalar | '(' expr ')'
     scalar := ['-'] digits ['/' digits]
 
-The parse is evaluated directly into scalar-weighted free words (product
-order is significant; scalar atoms commute and are folded to the front of
-each term) and the result is normalized through the rewriting oracle.
+Parsing builds a small syntax tree and counts the words it expands to
+(sums add, products multiply, atoms are one word), raising CapacityExceeded
+as soon as a count passes search_cap().  Only a fully parsed, in-bound tree
+is evaluated, with the normal-form arithmetic of `Element`.
 
 Error positions are 0-based character offsets.  Two canonical cases:
 "x**2" raises ExprSyntaxError at position 2 (the second '*'), and "x+"
@@ -20,12 +21,12 @@ input).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .algebra import AlgebraParams, Element
 from .capacity import check_search
 from .errors import CapacityExceeded, DivisionByZero, ExprSyntaxError, LexError
-from .rewrite import FreeWord, reduce_word
 
 _DIGITS = set("0123456789")
 _OPS = set("+-*/^()")
@@ -66,13 +67,28 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _evaluate(node):
+    """A node is an Element, an int exponent, or (first node, [(operator,
+    operand node), ...]) folded left to right; each sum or product is one
+    flat node, so the depth is the nesting of parentheses and powers."""
+    if not isinstance(node, tuple):
+        return node
+    first, steps = node
+    value = _evaluate(first)
+    for op, operand in steps:
+        value = op(value, _evaluate(operand))
+    return value
+
+
 class _Parser:
-    """Each production returns a list of (coefficient, letters) pairs."""
+    """Each production returns (word count, syntax node)."""
 
     def __init__(self, tokens: list[_Token], algebra: AlgebraParams):
         self.tokens = tokens
         self.idx = 0
+        self.algebra = algebra
         self.field = algebra.field
+        self.letters = dict(zip("xyh", algebra.generators()))
 
     def _peek(self) -> _Token:
         return self.tokens[self.idx]
@@ -87,33 +103,37 @@ class _Parser:
         return token.kind == "op" and token.text in ops
 
     def parse(self):
-        words = self.expr()
+        _, node = self.expr()
         token = self._peek()
         if token.kind != "end":
             raise ExprSyntaxError(f"unexpected input {token.text!r}", token.pos)
-        return words
+        return node
 
     def expr(self):
-        words = self.term()
+        count, first = self.term()
+        steps = []
         while self._at_op("+", "-"):
-            op = self._advance()
-            rhs = self.term()
-            if op.text == "-":
-                rhs = [(-c, w) for c, w in rhs]
-            words = words + rhs
-        return words
+            op = operator.sub if self._advance().text == "-" else operator.add
+            rhs_count, rhs = self.term()
+            count += rhs_count
+            steps.append((op, rhs))
+        return count, (first, steps)
 
     def term(self):
-        words = self.factor()
+        count, first = self.factor()
+        steps = []
         while self._at_op("*"):
             self._advance()
-            words = self._product(words, self.factor())
-        return words
+            rhs_count, rhs = self.factor()
+            count *= rhs_count
+            check_search(count, "expression expansion")
+            steps.append((operator.mul, rhs))
+        return count, (first, steps)
 
     def factor(self):
-        base = self.atom()
+        count, base = self.atom()
         if not self._at_op("^"):
-            return base
+            return count, base
         self._advance()
         token = self._peek()
         if token.kind != "number":
@@ -122,28 +142,28 @@ class _Parser:
         exponent = int(token.text)
         if exponent > 2**31:
             raise CapacityExceeded(f"exponent {exponent} beyond 2^31")
-        out = [(self.field.one, ())]
-        for _ in range(exponent):
-            out = self._product(out, base)
-        return out
+        # base^1, ..., base^n in turn: the first size over the bound is reported
+        for k in range(1, exponent + 1) if count > 1 else ():
+            check_search(count**k, "expression expansion")
+        return count**exponent, (base, [(operator.pow, exponent)])
 
     def atom(self):
         token = self._peek()
         if token.kind == "letter":
             self._advance()
-            return [(self.field.one, (token.text,))]
-        if token.kind == "number":
-            return [(self._scalar(), ())]
-        if self._at_op("-") and self.tokens[self.idx + 1].kind == "number":
-            return [(self._scalar(), ())]
+            return 1, self.letters[token.text]
+        if token.kind == "number" or (
+            self._at_op("-") and self.tokens[self.idx + 1].kind == "number"
+        ):
+            return 1, Element.from_scalar(self.algebra, self._scalar())
         if self._at_op("("):
             self._advance()
-            words = self.expr()
+            result = self.expr()
             closing = self._peek()
             if not self._at_op(")"):
                 raise ExprSyntaxError("expected ')'", closing.pos)
             self._advance()
-            return words
+            return result
         raise ExprSyntaxError("expected 'x', 'y', 'h', a scalar or '('", token.pos)
 
     def _scalar(self):
@@ -165,14 +185,7 @@ class _Parser:
             value = value / denominator
         return -value if negative else value
 
-    def _product(self, left, right):
-        check_search(len(left) * len(right), "expression expansion")
-        return [(c1 * c2, w1 + w2) for c1, w1 in left for c2, w2 in right]
-
 
 def parse_element_expr(text: str, algebra: AlgebraParams) -> Element:
-    """Parse an element expression and normalize it through the oracle."""
-    tokens = _tokenize(text)
-    pairs = _Parser(tokens, algebra).parse()
-    words = [FreeWord(c, letters) for c, letters in pairs]
-    return reduce_word(words, algebra)
+    """Parse and size-check an element expression, then evaluate it."""
+    return _evaluate(_Parser(_tokenize(text), algebra).parse())

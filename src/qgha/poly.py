@@ -315,7 +315,8 @@ def sigma_pow(f: Poly, k: int, p: Poly) -> Poly:
         raise ValueError("k must be nonnegative")
     f._check(p)
     result = p
-    for _ in range(k):
+    # sigma fixes constants
+    for _ in range(k if p.degree() >= 1 else 0):
         result = result.compose(f)
     return result
 

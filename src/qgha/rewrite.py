@@ -9,7 +9,8 @@ with f and g expanded into h-runs letter by letter.  Each rule either
 moves an h rightward past x, moves an h leftward past y, or removes a
 (y, x) inversion, so rewriting terminates; the result is independent of
 the chosen reduction order.  The oracle is deliberately independent of
-the fast multiplication path so the two can cross-check each other.
+the fast multiplication path so the two can cross-check each other; the
+CLI reaches it only through `mul --oracle`.
 """
 
 from __future__ import annotations

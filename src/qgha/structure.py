@@ -86,7 +86,8 @@ def noetherian_witness_check(algebra: AlgebraParams, depth: int) -> WitnessChain
     Needs a fixed point beta of f in the ground field; shifting h by beta
     normalizes to f(0) = 0, after which sigma^k(h) is divisible by f for
     every k >= 1 while h itself is not, so each inclusion I_n c I_{n+1}
-    is strict.
+    is strict.  As p(f(h)) = p(0) mod f, sigma^k(h) leaves the constant
+    residue c_(k-1) mod f, where c_0 = 0 and c_j = f(c_(j-1)).
     """
     f = algebra.f
     field = algebra.field
@@ -103,10 +104,10 @@ def noetherian_witness_check(algebra: AlgebraParams, depth: int) -> WitnessChain
     shifted_f = f.compose(Poly([beta, field.one], field)) - Poly.const(beta)
     h_poly = Poly.h(field)
     divisible = []
-    sigma_k = h_poly
+    residue = field.zero
     for _ in range(depth + 1):
-        sigma_k = sigma_k.compose(shifted_f)
-        divisible.append((sigma_k % shifted_f).is_zero())
+        divisible.append(residue.is_zero())
+        residue = shifted_f.evaluate(residue)
     h_free = not (h_poly % shifted_f).is_zero()
     checks = tuple(
         StrictnessCheck(n, all(divisible[: n + 1]), h_free) for n in range(depth + 1)
@@ -208,7 +209,8 @@ def center_describe(algebra: AlgebraParams) -> CenterDescription:
 
     If q is not a root of unity the center is the scalars.  If q has order
     ell and sigma(a) - q*a = g is solvable, the center is generated by
-    Z^ell with Z = q*(x*y - a), verified central by direct multiplication.
+    Z^ell with Z = q*(x*y - a), certified by Z*x = q*x*Z, Z*y = q^-1*y*Z
+    and Z*h = h*Z, which make Z^ell central since q^ell = 1.
     If the equation is unsolvable the description is left undetermined.
     """
     if algebra.f.degree() < 2 or algebra.q.is_zero():
@@ -223,10 +225,11 @@ def center_describe(algebra: AlgebraParams) -> CenterDescription:
             ell=ell,
             reason="q has finite order but sigma(a) - q*a = g has no polynomial solution",
         )
-    xy = Element(algebra, {(1, 1): Poly.one(algebra.field)})
-    z = algebra.q * (xy - Element.from_poly(algebra, a))
-    if not is_central(z**ell):
-        raise RuntimeError("internal error: Z^ell failed the centrality check")
+    q = algebra.q
+    x, y, h = algebra.generators()
+    z = q * (x * y - Element.from_poly(algebra, a))
+    if not (z * x == q * (x * z) and z * y == q.inv() * (y * z) and z * h == h * z):
+        raise RuntimeError("internal error: Z failed the twisted commutation check")
     return CenterDescription(CenterKind.POLYNOMIAL_IN_Z_ELL, ell=ell, a=a, z=z)
 
 

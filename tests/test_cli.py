@@ -1,11 +1,14 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import qgha
+from qgha import errors
 from qgha.cli import main, run
 
 
@@ -52,6 +55,20 @@ def test_analyze(q1_h2_h):
         "center: undetermined (q has finite order but sigma(a) - q*a = g"
         " has no polynomial solution)\n"
     )
+
+
+def test_analyze_high_degree_f_is_fast(tmp_path):
+    # f = h^11 + h: the depth-5 witness would compose to degree 11^6
+    path = write_algebra(
+        tmp_path,
+        "h11.json",
+        {"field": {"type": "Q"}, "q": "2", "f": ["0", "1"] + ["0"] * 9 + ["1"], "g": ["0", "1"]},
+    )
+    start = time.perf_counter()
+    result = run(["analyze", path])
+    assert time.perf_counter() - start < 5.0
+    assert result.exit_code == 0
+    assert "noetherian: false (deg f != 1)" in result.payload
 
 
 def test_analyze_scalars_only_center(q2_h2_h):
@@ -251,6 +268,42 @@ def test_exit_code_parse(tmp_path, q2_h2_h):
 def test_exit_code_capacity(q1_h2_h, monkeypatch):
     monkeypatch.setenv("QGHA_CAPACITY", "8")
     assert run(["gk", q1_h2_h, "--max-n", "20"]).exit_code == 4
+
+
+def test_exit_code_capacity_message(q1_h2_h):
+    result = run(["deg", q1_h2_h, "(x+y+h)^9"])
+    assert result.exit_code == 4
+    assert result.payload == ""
+    assert result.error == (
+        "error: expression expansion of size 19683 exceeds capacity bound 10000"
+    )
+
+
+_ERROR_CLASSES = [
+    cls
+    for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, errors.QghaError) and cls is not errors.QghaError
+]
+_PARSE_EXIT = {"NotPrime", "SchemaError", "ParseError", "LexError", "ExprSyntaxError"}
+
+
+@pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_exit_code_of_each_error(cls, q1_h2_h, monkeypatch):
+    if cls.__name__ in _PARSE_EXIT:
+        expected = 2
+    elif cls is errors.CapacityExceeded:
+        expected = 4
+    else:
+        expected = 3
+    exc = cls("boom", 0) if issubclass(cls, errors.ParseError) else cls("boom")
+
+    def fail(path):
+        raise exc
+
+    monkeypatch.setattr(qgha.cli, "load_algebra", fail)
+    result = run(["analyze", q1_h2_h])
+    assert result.exit_code == cls.exit_code == expected
+    assert result.error == f"error: {exc}"
 
 
 def test_outputs_byte_identical(q1_h2_h, q2_h2_h):

@@ -1,8 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qgha import Element, Poly, parse_element_expr
+from qgha import Element, FreeWord, Poly, parse_element_expr, reduce_word
 from qgha.errors import (
     CapacityExceeded,
     DivisionByZero,
@@ -97,6 +100,18 @@ def test_exponent_capacity(A):
         parse_element_expr("(x+y)^30", A)  # 2^30 word expansion
 
 
+def test_expansion_capacity_fails_before_arithmetic(A):
+    # (x+y)^13 alone would take seconds to multiply out; the size check on
+    # the whole parse must fire first
+    start = time.perf_counter()
+    with pytest.raises(CapacityExceeded) as info:
+        parse_element_expr("(x+y)^13*(x+y)^2", A)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == (
+        "expression expansion of size 32768 exceeds capacity bound 10000"
+    )
+
+
 def test_fp_scalars():
     B = algebra(F7, 3, [0, 0, 1], [0, 1, 1])
     assert parse_element_expr("10", B) == Element.from_scalar(B, 3)
@@ -117,9 +132,112 @@ def test_print_parse_round_trip():
 
 
 def test_oracle_normalization_matches_fast_path(A):
-    # the parser goes through the rewriting oracle; products of generators
-    # must therefore agree with engine multiplication
+    # products of generators in the parser must agree with the same
+    # products written out in engine multiplication
     x, y, h = A.generators()
     assert parse_element_expr("y*x*y*x", A) == y * x * y * x
     assert parse_element_expr("h*x^3", A) == h * x * x * x
     assert parse_element_expr("(y*x)^2", A) == (y * x) * (y * x)
+
+
+# Differential test against the rewriting oracle: a random expression tree is
+# rendered to text, and its parse must equal reduce_word of the tree's own
+# expansion into free words.  A tree is ("letter", l), ("scalar", text),
+# ("sum", [(negate, tree), ...]), ("product", [tree, ...]) or ("power", tree, n).
+
+_ORACLE_ALGEBRAS = [
+    algebra(QQ, 1, [0, 0, 1], [0, 1]),  # q=1, f=h^2, g=h
+    algebra(QQ, 2, [1, 0, 1], [0, 0, 0, 1]),  # q=2, f=h^2+1, g=h^3
+    algebra(F7, 3, [0, 0, 1], [0, 1, 1]),  # q=3, f=h^2, g=h^2+h over F_7
+]
+
+_scalar_texts = st.builds(
+    lambda sign, num, den: sign + str(num) + (f"/{den}" if den > 1 else ""),
+    st.sampled_from(["", "-"]),
+    st.integers(0, 12),  # residues past 7 reduce over F_7
+    st.sampled_from([1, 1, 2, 3, 5]),  # all invertible mod 7
+)
+_leaves = st.one_of(
+    st.sampled_from("xyh").map(lambda letter: ("letter", letter)),
+    _scalar_texts.map(lambda text: ("scalar", text)),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(
+        st.lists(st.tuples(st.booleans(), sub), min_size=2, max_size=3).map(
+            lambda parts: ("sum", [(False, parts[0][1])] + parts[1:])
+        ),
+        st.lists(sub, min_size=2, max_size=3).map(lambda parts: ("product", parts)),
+        st.tuples(sub, st.integers(0, 3)).map(lambda t: ("power", t[0], t[1])),
+    ),
+    max_leaves=6,
+)
+
+
+def _render(tree) -> str:
+    kind = tree[0]
+    if kind in ("letter", "scalar"):
+        return tree[1]
+    if kind == "sum":
+        return "(" + "".join(
+            ("-" if negate else "+") * bool(i or negate) + _render(part)
+            for i, (negate, part) in enumerate(tree[1])
+        ) + ")"
+    if kind == "product":
+        return "*".join(_render(part) for part in tree[1])
+    base = _render(tree[1])
+    if tree[1][0] not in ("letter", "sum"):  # a rendered sum is parenthesized
+        base = f"({base})"
+    return f"{base}^{tree[2]}"
+
+
+def _expand(tree, field) -> list:
+    """Scalar-weighted free words of the tree, multiplied out in order."""
+    kind = tree[0]
+    if kind == "letter":
+        return [(field.one, (tree[1],))]
+    if kind == "scalar":
+        num, _, den = tree[1].partition("/")
+        return [(field.scalar(int(num)) / field.scalar(int(den or 1)), ())]
+    if kind == "sum":
+        return [
+            (-c if negate else c, w)
+            for negate, part in tree[1]
+            for c, w in _expand(part, field)
+        ]
+    factors = tree[1] if kind == "product" else [tree[1]] * tree[2]
+    words = [(field.one, ())]
+    for factor in factors:
+        words = [
+            (c1 * c2, w1 + w2) for c1, w1 in words for c2, w2 in _expand(factor, field)
+        ]
+    return words
+
+
+def _size(tree) -> tuple[int, int]:
+    """(number of words, longest word) of the tree's expansion."""
+    kind = tree[0]
+    if kind == "letter":
+        return 1, 1
+    if kind == "scalar":
+        return 1, 0
+    if kind == "sum":
+        sizes = [_size(part) for _, part in tree[1]]
+        return sum(n for n, _ in sizes), max(m for _, m in sizes)
+    factors = tree[1] if kind == "product" else [tree[1]] * tree[2]
+    count, length = 1, 0
+    for n, m in map(_size, factors):
+        count, length = count * n, length + m
+    return count, length
+
+
+@given(
+    tree=_trees.filter(lambda t: _size(t)[0] <= 64 and _size(t)[1] <= 6),
+    index=st.integers(0, len(_ORACLE_ALGEBRAS) - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_parse_matches_oracle_on_random_trees(tree, index):
+    A = _ORACLE_ALGEBRAS[index]
+    text = _render(tree)
+    words = [FreeWord(c, w) for c, w in _expand(tree, A.field)]
+    assert parse_element_expr(text, A) == reduce_word(words, A), text

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from qgha import (
+    AlgebraParams,
     CenterKind,
     Element,
     NoetherianReason,
@@ -26,7 +27,7 @@ from qgha.errors import (
     WrongDegree,
 )
 
-from conftest import QQ, F7, algebra, random_element, rng_for
+from conftest import QQ, F7, algebra, random_element, random_poly, random_scalar, rng_for
 
 
 def test_is_domain():
@@ -81,6 +82,37 @@ def test_witness_chain_shifted_fixed_point():
     assert chain.beta == QQ.one
     assert chain.verified
     assert is_noetherian(A).witness is not None
+
+
+def _composed_divisibility(A, beta, depth):
+    """Reference: sigma^k(h) mod the shifted f, by explicit composition."""
+    field = A.field
+    shifted = A.f.compose(Poly([beta, field.one], field)) - Poly.const(beta)
+    out, power = [], Poly.h(field)
+    for _ in range(depth + 1):
+        power = power.compose(shifted)
+        out.append((power % shifted).is_zero())
+    return out, not (Poly.h(field) % shifted).is_zero()
+
+
+def test_witness_residues_match_composition():
+    rng = rng_for("witness-residues")
+    for field in (QQ, F7):
+        for _ in range(12):
+            # f = h + (h - b)*r(h) has the fixed point b; deg f = 1 + deg r
+            b = random_scalar(rng, field)
+            r = random_poly(rng, field, max_deg=2, allow_zero=False)
+            if r.degree() < 1:
+                continue
+            f = Poly.h(field) + (Poly.h(field) - Poly.const(b)) * r
+            A = AlgebraParams(field, 1, f, Poly.h(field))
+            depth = rng.randint(1, 4)
+            chain = noetherian_witness_check(A, depth)
+            assert f.evaluate(chain.beta) == chain.beta
+            divisible, h_free = _composed_divisibility(A, chain.beta, depth)
+            assert [
+                (c.n, c.sigma_powers_divisible, c.h_not_divisible) for c in chain.checks
+            ] == [(n, all(divisible[: n + 1]), h_free) for n in range(depth + 1)]
 
 
 def test_witness_chain_errors():
