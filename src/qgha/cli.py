@@ -73,6 +73,21 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_at_least(low: int):
+    """argparse type: an int >= low, so a bad count is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 @dataclass
 class CommandResult:
     exit_code: int
@@ -250,12 +265,12 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("gk", help="growth dimensions of span{1,x,y,h}")
     p.add_argument("file")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p.add_argument("--max-n", type=_int_at_least(0), required=True, dest="max_n")
     p.set_defaults(handler=_cmd_gk)
 
     p = sub.add_parser("noeth-witness", help="ideal-chain witness for deg f >= 2")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=5)
+    p.add_argument("--depth", type=_int_at_least(1), default=5)
     p.set_defaults(handler=_cmd_noeth_witness)
 
     p = sub.add_parser("convert", help="down-up / generalized down-up conversions")

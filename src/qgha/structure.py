@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import enum
 import math
+from math import gcd, lcm
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .algebra import AlgebraParams, Element
+from .algebra import AlgebraParams, Element, _acc, _yx_terms
 from .capacity import check_search
 from .errors import NoFixedPointInField, PreconditionViolated, WrongDegree
 from .fields import Scalar, root_of_unity_order
@@ -95,6 +96,7 @@ def noetherian_witness_check(algebra: AlgebraParams, depth: int) -> WitnessChain
         raise WrongDegree("the witness construction needs deg f >= 2")
     if depth < 1:
         raise ValueError("depth must be positive")
+    check_search(depth, "witness depth")
     fixed_points = poly_roots(f - Poly.h(field))
     if not fixed_points:
         raise NoFixedPointInField(
@@ -102,17 +104,15 @@ def noetherian_witness_check(algebra: AlgebraParams, depth: int) -> WitnessChain
         )
     beta = min(fixed_points, key=lambda s: s.sort_key())
     shifted_f = f.compose(Poly([beta, field.one], field)) - Poly.const(beta)
-    h_poly = Poly.h(field)
-    divisible = []
+    h_free = not (Poly.h(field) % shifted_f).is_zero()
+    checks = []
+    divisible = True
     residue = field.zero
-    for _ in range(depth + 1):
-        divisible.append(residue.is_zero())
+    for n in range(depth + 1):
+        divisible = divisible and residue.is_zero()
+        checks.append(StrictnessCheck(n, divisible, h_free))
         residue = shifted_f.evaluate(residue)
-    h_free = not (h_poly % shifted_f).is_zero()
-    checks = tuple(
-        StrictnessCheck(n, all(divisible[: n + 1]), h_free) for n in range(depth + 1)
-    )
-    return WitnessChain(beta=beta, depth=depth, checks=checks)
+    return WitnessChain(beta=beta, depth=depth, checks=tuple(checks))
 
 
 def is_noetherian(algebra: AlgebraParams, witness_depth: int = 5) -> NoetherianReport:
@@ -268,29 +268,44 @@ class GrowthReport:
         return "\n".join(lines) + "\n"
 
 
-def _mono_key(mono):
-    i, j, k = mono
-    return (i + j + k, i, j, k)
+def _times_generator(algebra: AlgebraParams, terms: dict, gen: str, sigma_h: list) -> dict:
+    """Terms map of (sum x^i p_ik(h) y^k) * gen for one generator gen in "xyh".
+
+    y^k * y = y^(k+1) shifts k; y^k * h = sigma^k(h) * y^k, with
+    sigma_h[k] = sigma^k(h) extended in the caller's list; y^k * x comes
+    from the memoized normal form sum x^s w y^t of y^k x (s <= 1), and
+    x^i p x^s = x^(i+s) sigma^s(p).
+    """
+    if gen == "y":
+        return {(i, k + 1): p for (i, k), p in terms.items()}
+    f = algebra.f
+    out: dict[tuple[int, int], Poly] = {}
+    if gen == "h":
+        for (i, k), p in terms.items():
+            while len(sigma_h) <= k:
+                sigma_h.append(sigma_h[-1].compose(f))
+            out[(i, k)] = p * sigma_h[k]
+    else:
+        for (i, k), p in terms.items():
+            for (s, t), w in _yx_terms(algebra, k, 1).items():
+                _acc(out, (i + s, t), (p.compose(f) if s else p) * w)
+    return {key: p for key, p in out.items() if not p.is_zero()}
 
 
-def _vectorize(element: Element) -> dict:
-    vec = {}
-    for (i, k), p in element.terms.items():
-        for j, c in p.monomials():
-            vec[(i, j, k)] = c
-    return vec
+def _integer_row(terms: dict) -> dict:
+    """Coordinates of a terms map on the normal monomials x^i h^j y^k, times
+    the lcm of its denominators (1 over F_p, where they are residues).
 
-
-def _sub_scaled(vec: dict, pivot_vec: dict, c: Scalar) -> dict:
-    out = dict(vec)
-    for mono, pv in pivot_vec.items():
-        cur = out.get(mono)
-        nv = (cur - c * pv) if cur is not None else -(c * pv)
-        if nv.is_zero():
-            out.pop(mono, None)
-        else:
-            out[mono] = nv
-    return out
+    A monomial is keyed (i+j+k, i, j, k), so max() of a row is its pivot.
+    """
+    den = lcm(*(p._den for p in terms.values()))
+    row = {}
+    for (i, k), p in terms.items():
+        scale = den // p._den
+        for j, v in enumerate(p._nums):
+            if v:
+                row[(i + j + k, i, j, k)] = v * scale
+    return row
 
 
 def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
@@ -298,37 +313,68 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
 
     Maintains an echelonized basis in coordinates indexed by the normal
     monomials x^i h^j y^k, ordered by (i+j+k, then lex (i, j, k)) with the
-    largest monomial as pivot.  Each step multiplies the previous step's
-    novel products by each generator, reduces against the echelon and
-    inserts what is new, so the dimensions are deterministic.
+    largest monomial as pivot.  Each step right-multiplies the previous
+    step's novel products by each generator directly on the normal form
+    (see `_times_generator`), reduces the integer coordinate row against the
+    echelon and inserts what is new, so the dimensions are deterministic.
+    Rows are scaled freely, which leaves their span unchanged: over Q they
+    are primitive integer vectors reduced by cross-multiplying, over F_p
+    residues with pivot 1.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     check_search(max_n, "growth horizon")
+    field = algebra.field
+    p = field.p
     echelon: dict[tuple, dict] = {}
 
-    def reduce_insert(vec: dict) -> bool:
-        while vec:
-            top = max(vec, key=_mono_key)
-            pivot_vec = echelon.get(top)
-            if pivot_vec is None:
-                inv = vec[top].inv()
-                echelon[top] = {m: c * inv for m, c in vec.items()}
+    def reduce_insert(row: dict) -> bool:
+        while row:
+            top = max(row)
+            pivot = echelon.get(top)
+            if pivot is None:
+                lead = row[top]
+                if p is None:
+                    content = gcd(*row.values())
+                    if lead < 0:
+                        content = -content
+                    row = {m: v // content for m, v in row.items()}
+                else:
+                    inv = pow(lead, -1, p)
+                    row = {m: v * inv % p for m, v in row.items()}
+                echelon[top] = row
                 return True
-            vec = _sub_scaled(vec, pivot_vec, vec[top])
+            # row <- a*row - c*pivot cancels the pivot monomial
+            a, c = pivot[top], row[top]
+            if a != 1:
+                g = gcd(a, c)
+                a, c = a // g, c // g
+                row = {m: a * v for m, v in row.items()}
+            for m, v in pivot.items():
+                nv = row.get(m, 0) - c * v
+                if p is not None:
+                    nv %= p
+                if nv:
+                    row[m] = nv
+                else:  # c*v != 0, so nv == 0 only where row had m
+                    del row[m]
+            if p is None and row:
+                content = gcd(*row.values())
+                if content != 1:
+                    row = {m: v // content for m, v in row.items()}
         return False
 
-    unit = algebra.one()
-    reduce_insert(_vectorize(unit))
+    unit = {(0, 0): Poly.one(field)}
+    reduce_insert(_integer_row(unit))
     dims = [len(echelon)]
     frontier = [unit]
-    gens = [algebra.x(), algebra.y(), algebra.h()]
+    sigma_h = [Poly.h(field)]
     for _ in range(max_n):
         new_frontier = []
-        for base in frontier:
-            for gen in gens:
-                candidate = base * gen
-                if reduce_insert(_vectorize(candidate)):
+        for terms in frontier:
+            for gen in "xyh":
+                candidate = _times_generator(algebra, terms, gen, sigma_h)
+                if reduce_insert(_integer_row(candidate)):
                     new_frontier.append(candidate)
         dims.append(len(echelon))
         frontier = new_frontier

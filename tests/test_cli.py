@@ -180,6 +180,41 @@ def test_noeth_witness_regime(linear):
     assert run(["noeth-witness", linear, "--depth", "3"]).exit_code == 3
 
 
+def test_noeth_witness_depth_zero_is_usage_error(q1_h2_h):
+    result = run(["noeth-witness", q1_h2_h, "--depth", "0"])
+    assert result.exit_code == 1
+    assert result.error == "usage error: argument --depth: must be at least 1, got 0"
+
+
+def test_gk_negative_horizon_is_usage_error(q1_h2_h):
+    result = run(["gk", q1_h2_h, "--max-n", "-1"])
+    assert result.exit_code == 1
+    assert result.error == "usage error: argument --max-n: must be at least 0, got -1"
+
+
+def test_noeth_witness_depth_beyond_bound(q1_h2_h):
+    start = time.perf_counter()
+    result = run(["noeth-witness", q1_h2_h, "--depth", "100000"])
+    assert time.perf_counter() - start < 5.0
+    assert result.exit_code == 4
+    assert result.payload == ""
+    assert result.error == "error: witness depth of size 100000 exceeds capacity bound 10000"
+
+
+def test_gk_n8_dims_within_wall_bound(tmp_path):
+    path = write_algebra(
+        tmp_path,
+        "q2.json",
+        {"field": {"type": "Q"}, "q": "2", "f": ["1", "0", "1"], "g": ["0", "0", "0", "1"]},
+    )
+    start = time.perf_counter()
+    result = run(["gk", path, "--max-n", "8"])
+    assert time.perf_counter() - start < 10.0
+    assert result.exit_code == 0
+    dims = [line.split(",")[1] for line in result.payload.splitlines()[1:]]
+    assert dims == "1,4,13,33,76,161,323,622,1160".split(",")
+
+
 def test_convert_from_downup(tmp_path):
     result = run(["convert", "--from-downup", "2", "-1", "0"])
     assert result.exit_code == 0

@@ -1,8 +1,12 @@
 import itertools
+import random
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgha import (
     AlgebraParams,
@@ -21,11 +25,14 @@ from qgha import (
     sigma_pow,
     solve_sigma_q,
 )
+from qgha.capacity import search_cap
 from qgha.errors import (
+    CapacityExceeded,
     NoFixedPointInField,
     PreconditionViolated,
     WrongDegree,
 )
+from qgha.structure import _integer_row, _times_generator
 
 from conftest import QQ, F7, algebra, random_element, random_poly, random_scalar, rng_for
 
@@ -124,6 +131,17 @@ def test_witness_chain_errors():
     # over F_5 the same f - h = h^2 - h + 1 does have roots (3^2-3+1=7=2... none)
     # h^2 - h + 1 mod 5: r=3 -> 7 = 2, no; exhaustive check confirms none
     assert all((r * r - r + 1) % 5 != 0 for r in range(5))
+
+
+def test_witness_depth_bound():
+    A = algebra(QQ, 1, [0, 0, 1], [0, 1])
+    cap = search_cap()
+    start = time.perf_counter()
+    chain = noetherian_witness_check(A, depth=cap)
+    assert time.perf_counter() - start < 5.0
+    assert len(chain.checks) == cap + 1 and chain.verified
+    with pytest.raises(CapacityExceeded, match="witness depth of size"):
+        noetherian_witness_check(A, depth=cap + 1)
 
 
 def _sigma_q_brute(A, max_deg):
@@ -379,6 +397,67 @@ def test_gk_monotone_and_csv():
     assert first[0] == "0" and first[1] == "1" and first[2] == ""
     third = lines[3].split(",")
     assert third[0] == "2" and third[2] != ""
+
+
+_GK_ORACLE_PRESENTATIONS = [
+    pytest.param((QQ, 0, [0, 0, 1], [0, 1]), id="Q-q0"),
+    pytest.param((QQ, 2, [3], [0, 1]), id="Q-f-constant"),
+    pytest.param((QQ, 2, [], [1]), id="Q-f-zero"),
+    pytest.param((QQ, 3, [0, 1], [0, 0, 1]), id="Q-f-h"),
+    pytest.param(
+        (QQ, Fraction(1, 2), [1, 0, Fraction(2, 3)], [0, Fraction(1, 5)]), id="Q-fractions"
+    ),
+    pytest.param((F7, 3, [0, 0, 1], [0, 1, 1]), id="F7"),
+    pytest.param((F7, 0, [2, 5], [3]), id="F7-q0"),
+    pytest.param((F7, 4, [6], [0, 2, 1]), id="F7-f-constant"),
+]
+
+
+@pytest.mark.parametrize("params", _GK_ORACLE_PRESENTATIONS)
+def test_gk_matches_word_enumeration(params):
+    A = algebra(*params)
+    assert gk_dimension_sequence(A, 4).dims == tuple(_gk_dims_by_word_enumeration(A, 4))
+
+
+_RIGHT_MULTIPLY_ALGEBRAS = [
+    algebra(QQ, 2, [1, 0, 1], [0, 0, 0, 1]),
+    algebra(QQ, 0, [0, 0, 1], [0, 1]),
+    algebra(QQ, 3, [2], [1, 1]),
+    algebra(QQ, 1, [], [0, 1]),
+    algebra(QQ, -1, [Fraction(1, 2), 3], [0, 1]),
+    algebra(F7, 3, [0, 0, 1], [0, 1, 1]),
+    algebra(F7, 0, [5], [2]),
+    algebra(F7, 5, [1, 4], [0, 0, 3]),
+]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    index=st.integers(0, len(_RIGHT_MULTIPLY_ALGEBRAS) - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_times_generator_matches_element_product(seed, index):
+    A = _RIGHT_MULTIPLY_ALGEBRAS[index]
+    rng = random.Random(seed)
+    # one sigma^k(h) list serves both elements, as it does across a gk run
+    sigma_h = [Poly.h(A.field)]
+    for _ in range(2):
+        e = random_element(rng, A)
+        for name, gen in zip("xyh", A.generators()):
+            product = _times_generator(A, e.terms, name, sigma_h)
+            assert Element(A, product) == e * gen
+            assert all(not p.is_zero() for p in product.values())
+
+
+def test_integer_row_scales_by_the_denominator_lcm():
+    terms = {
+        (1, 1): Poly([0, Fraction(1, 2)], QQ),
+        (0, 0): Poly([Fraction(-5, 4), 0, Fraction(2, 3)], QQ),
+    }
+    # keys (i+j+k, i, j, k) for x^i h^j y^k; lcm(2, 12) = 12
+    assert _integer_row(terms) == {(3, 1, 1, 1): 6, (0, 0, 0, 0): -15, (2, 0, 2, 0): 8}
+    assert _integer_row({(0, 2): Poly([3, 0, 6], F7)}) == {(2, 0, 0, 2): 3, (4, 0, 2, 2): 6}
+    assert _integer_row({}) == {}
 
 
 def test_gk_zero_horizon():
