@@ -336,25 +336,26 @@ def yx_expand(b: int, c: int, algebra: AlgebraParams) -> Element:
     return Element(algebra, dict(_yx_terms(algebra, b, c)))
 
 
+def _sigma(f: Poly, orbit: list, s: int) -> Poly:
+    """sigma^s(orbit[0]), extending orbit = [p, sigma(p), ...] as needed."""
+    if orbit[0].degree() < 1:
+        return orbit[0]  # sigma fixes constants
+    while len(orbit) <= s:
+        orbit.append(orbit[-1].compose(f))
+    return orbit[s]
+
+
 def _multiply(a: Element, b: Element) -> Element:
     algebra = a.algebra
     f = algebra.f
     out: dict[tuple[int, int], Poly] = {}
-    # the same sigma^s(p) recurs across straightening terms; cache per call
-    left_cache: dict[tuple, Poly] = {}
-    right_cache: dict[tuple, Poly] = {}
+    # sigma^s(p) recurs across straightening terms: one orbit per operand term
+    right = [(i2, k2, [p2]) for (i2, k2), p2 in b.terms.items()]
     for (i1, k1), p1 in a.terms.items():
-        for (i2, k2), p2 in b.terms.items():
+        left = [p1]
+        for i2, k2, orbit2 in right:
             for (s, t), w in _yx_terms(algebra, k1, i2).items():
-                key1 = (i1, k1, s)
-                sp1 = left_cache.get(key1)
-                if sp1 is None:
-                    sp1 = left_cache[key1] = sigma_pow(f, s, p1)
-                key2 = (i2, k2, t)
-                sp2 = right_cache.get(key2)
-                if sp2 is None:
-                    sp2 = right_cache[key2] = sigma_pow(f, t, p2)
-                _acc(out, (i1 + s, t + k2), sp1 * w * sp2)
+                _acc(out, (i1 + s, t + k2), _sigma(f, left, s) * w * _sigma(f, orbit2, t))
     return Element(algebra, out)
 
 

@@ -14,7 +14,8 @@ Subcommands:
     convert ...                     down-up / generalized down-up conversions
 
 Exit codes: 0 success, 1 usage, 2 input parsing, 3 precondition or regime,
-4 capacity; each QghaError subclass declares its own as `exit_code`.
+4 capacity, 5 internal error (a result that failed its own certificate);
+each QghaError subclass declares its own as `exit_code`.
 Identical inputs produce byte-identical outputs.  The QGHA_CAPACITY
 environment variable overrides the degree/search bound.
 """

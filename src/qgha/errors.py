@@ -3,7 +3,8 @@
 
 class QghaError(Exception):
     """Base class for all errors raised by this package; `exit_code` is the
-    CLI exit status: 2 input parsing, 3 precondition or regime, 4 capacity."""
+    CLI exit status: 2 input parsing, 3 precondition or regime, 4 capacity,
+    5 internal error."""
 
     exit_code = 3
 
@@ -38,6 +39,13 @@ class CapacityExceeded(QghaError):
     """A degree or search bound was exceeded; see the capacity module."""
 
     exit_code = 4
+
+
+class InternalError(QghaError):
+    """A computed result failed its own certificate: a bug in this package,
+    not a property of the input."""
+
+    exit_code = 5
 
 
 class AlgebraMismatch(QghaError):

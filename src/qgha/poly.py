@@ -9,6 +9,16 @@ and addition, multiplication and composition run one integer code path for
 both fields.  The public `coeffs`, a tuple of `Scalar`s, is built on first
 access and cached.  The zero polynomial has no numerators and degree
 NEG_INF, which compares below every integer.
+
+Products of coefficient lists (`_int_conv`) run a schoolbook loop on short
+operands and a Kronecker substitution on longer ones: each list is packed
+into one integer with fixed-width signed lanes (`_pack`/`_unpack`), sized
+from an exact coefficient bound, and CPython multiplies the two integers.
+`compose` runs Horner when the outer polynomial is short.  A longer outer
+is split as A + h^k B, with k a power of two, and rebuilt from its two
+halves and the memoized power m^k of the inner numerators, reducing mod p
+at every node; blocks of up to `_LEAF_MAX` coefficients run Horner on one
+packed integer.  All paths are exact, so they give the same results.
 """
 
 from __future__ import annotations
@@ -23,15 +33,121 @@ from .fields import FieldSpec, Scalar
 NEG_INF = float("-inf")
 
 
+# Measured cutoffs (CPython 3.11, 2-vCPU VM); exact arithmetic makes every
+# path give the same result, so these only pick the faster one.
+# `_int_conv` multiplies packed integers once la*lb / (la+lb) reaches this:
+# packing costs about la+lb lane conversions, schoolbook la*lb products.
+_PACK_MIN = 9
+# Outer length from which `compose` divides and conquers; shorter outers,
+# almost every compose of a gk run, keep the plain Horner loop, where
+# packing measured no gain.
+_COMPOSE_MIN = 12
+# Longest block that the divide-and-conquer compose evaluates by Horner on
+# one packed integer; its lanes hold the block's unreduced result.
+_LEAF_MAX = 64
+
+
+def _pack(vals, nb: int) -> int:
+    """sum vals[i] * 2^(8*nb*i): one integer with nb-byte signed lanes.
+
+    Needs |vals[i]| < 2^(8*nb - 1) for `_unpack` to read the lanes back.
+    """
+    zero = bytes(nb)
+    packed = int.from_bytes(
+        b"".join([v.to_bytes(nb, "little") if v > 0 else zero for v in vals]), "little"
+    )
+    if min(vals) < 0:
+        packed -= int.from_bytes(
+            b"".join([(-v).to_bytes(nb, "little") if v < 0 else zero for v in vals]),
+            "little",
+        )
+    return packed
+
+
+def _unpack(packed: int, n: int, nb: int) -> list:
+    """The n signed nb-byte lanes of packed, each in (-2^(8nb-1), 2^(8nb-1)).
+
+    Adding half a lane to every lane (a geometric series in 2^(8nb)) makes
+    each lane a nonnegative byte string that `from_bytes` reads directly.
+    """
+    half = 1 << (8 * nb - 1)
+    offset = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
+    raw = (packed + offset).to_bytes(n * nb, "little")
+    return [int.from_bytes(raw[i : i + nb], "little") - half for i in range(0, n * nb, nb)]
+
+
+def _lane_bytes(bits: int) -> int:
+    """Lane width in bytes for signed values below 2^bits in magnitude."""
+    return bits // 8 + 1
+
+
 def _int_conv(a, b) -> list:
+    """Coefficients of the product of two integer coefficient lists."""
     if not a or not b:
         return []
+    if len(a) * len(b) >= _PACK_MIN * (len(a) + len(b)):
+        # Kronecker substitution: |c_k| <= min(len) * max|a| * max|b|
+        bits = (
+            max(map(int.bit_length, a))
+            + max(map(int.bit_length, b))
+            + min(len(a), len(b)).bit_length()
+        )
+        nb = _lane_bytes(bits)
+        return _unpack(_pack(a, nb) * _pack(b, nb), len(a) + len(b) - 1, nb)
     out = [0] * (len(a) + len(b) - 1)
     for i, av in enumerate(a):
         if av:
             for j, bv in enumerate(b):
                 out[i + j] += av * bv
     return out
+
+
+def _horner_packed(block, m, e: int) -> list:
+    """sum block[i] * m^i * e^(L-1-i), L = len(block), by Horner on packed ints.
+
+    The lanes are sized for the unreduced result, so blocks stay short: a
+    whole long polynomial in one integer would carry huge lanes over F_p.
+    """
+    top = len(block) - 1
+    if e != 1:
+        block = [v * e ** (top - i) for i, v in enumerate(block)]
+    # |result_k| <= L * max|block| * (sum |m_i|)^top
+    bits = (
+        max(map(int.bit_length, block))
+        + len(block).bit_length()
+        + top * sum(map(abs, m)).bit_length()
+    )
+    nb = _lane_bytes(bits)
+    packed_m = _pack(m, nb)
+    acc = 0
+    for v in reversed(block):
+        acc = acc * packed_m + v
+    return _unpack(acc, top * (len(m) - 1) + 1, nb)
+
+
+def _compose_split(nums, m, e: int, p, m_powers: list) -> list:
+    """sum nums[i] * m^i * e^(L-1-i), L = len(nums), reduced mod p over F_p.
+
+    With nums = A + h^k B for k the largest power of two below L, this is
+    H(A) * e^len(B) + m^k * H(B), where H is this map on each half.
+    m_powers[t] holds m^(2^t) and is extended as needed.
+    """
+    if len(nums) <= _LEAF_MAX:
+        return _normal(_horner_packed(nums, m, e), 1, p)[0]
+    t = (len(nums) - 1).bit_length() - 1
+    k = 1 << t
+    low = _compose_split(nums[:k], m, e, p, m_powers)
+    high = _compose_split(nums[k:], m, e, p, m_powers)
+    while len(m_powers) <= t:
+        square = m_powers[-1]
+        m_powers.append(_normal(_int_conv(square, square), 1, p)[0])
+    out = _int_conv(high, m_powers[t])
+    # B is empty or zero mod p when a lower half ends in zeros
+    out += [0] * (len(low) - len(out))
+    scale = e ** (len(nums) - k)
+    for i, v in enumerate(low):
+        out[i] += v * scale
+    return _normal(out, 1, p)[0]
 
 
 def _normal(nums: list, den: int, p) -> tuple[list, int]:
@@ -247,10 +363,13 @@ class Poly:
         return acc
 
     def compose(self, inner: Poly) -> Poly:
-        """self(inner(h)) by integer Horner accumulation.
+        """self(inner(h)) on integers.
 
         With self = sum n_i h^i / D of degree d and inner = m / E,
-        self(inner) = (sum n_i m^i E^(d-i)) / (D E^d).
+        self(inner) = (sum n_i m^i E^(d-i)) / (D E^d).  A short self runs
+        Horner over coefficient lists; a longer one splits its coefficients
+        in halves (`_compose_split`), so the long products are Kronecker
+        products of packed integers.
         """
         self._check(inner)
         if self.degree() >= 1 and inner.degree() >= 1:
@@ -258,6 +377,9 @@ class Poly:
         p = self.field.p
         nums, m, e = self._nums, inner._nums, inner._den
         d = len(nums) - 1
+        if len(nums) >= _COMPOSE_MIN and len(m) >= 2:
+            acc = _compose_split(nums, m, e, p, [m])
+            return Poly._make(acc, self._den * e**d, self.field)
         acc: list = []
         for i in range(d, -1, -1):
             # _normal with denominator 1 reduces mod p and is a no-op over Q

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 from .algebra import AlgebraParams, Element, _acc, _yx_terms
 from .capacity import check_search
-from .errors import NoFixedPointInField, PreconditionViolated, WrongDegree
+from .errors import InternalError, NoFixedPointInField, PreconditionViolated, WrongDegree
 from .fields import Scalar, root_of_unity_order
 from .poly import Poly, poly_roots
 
@@ -229,7 +229,7 @@ def center_describe(algebra: AlgebraParams) -> CenterDescription:
     x, y, h = algebra.generators()
     z = q * (x * y - Element.from_poly(algebra, a))
     if not (z * x == q * (x * z) and z * y == q.inv() * (y * z) and z * h == h * z):
-        raise RuntimeError("internal error: Z failed the twisted commutation check")
+        raise InternalError("internal error: Z failed the twisted commutation check")
     return CenterDescription(CenterKind.POLYNOMIAL_IN_Z_ELL, ell=ell, a=a, z=z)
 
 

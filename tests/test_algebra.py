@@ -1,6 +1,10 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgha import (
     DEG_BOTTOM,
@@ -258,3 +262,43 @@ def test_oracle_multiply_matches_fast(alg_q2_h2p1_h3):
         a = random_element(rng, A, max_support=2, max_exp=2, max_deg=2)
         b = random_element(rng, A, max_support=2, max_exp=2, max_deg=2)
         assert oracle_multiply(a, b) == a * b
+
+
+def _multiply_by_sigma_pow(a, b):
+    """Reference product: sigma^s of each coefficient composed from scratch."""
+    A = a.algebra
+    out = Element.zero(A)
+    for (i1, k1), p1 in a.terms.items():
+        for (i2, k2), p2 in b.terms.items():
+            for (s, t), w in yx_expand(k1, i2, A).terms.items():
+                coeff = sigma_pow(A.f, s, p1) * w * sigma_pow(A.f, t, p2)
+                out = out + Element.monomial(A, i1 + s, coeff, t + k2)
+    return out
+
+
+_ORBIT_ALGEBRAS = [
+    algebra(QQ, 0, [0, 0, 1], [0, 1]),
+    algebra(QQ, 2, [3], [0, 1]),
+    algebra(QQ, -1, [Fraction(1, 2), 3], [1, 0, 1]),
+    algebra(F7, 0, [2, 5], [3]),
+    algebra(F7, 4, [6], [0, 2, 1]),
+    algebra(F7, 3, [0, 1], [0, 1, 1]),
+    algebra(F7, 3, [0, 0, 1], [0, 1, 1]),
+]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    index=st.integers(0, len(_ORBIT_ALGEBRAS) - 1),
+    max_deg=st.sampled_from([0, 2]),
+)
+@settings(max_examples=60, deadline=None)
+def test_multiply_orbits_match_references(seed, index, max_deg):
+    A = _ORBIT_ALGEBRAS[index]
+    rng = random.Random(seed)
+    # max_deg 0 gives constant coefficients, which sigma fixes
+    a = random_element(rng, A, max_support=2, max_exp=4, max_deg=max_deg)
+    b = random_element(rng, A, max_support=2, max_exp=4, max_deg=max_deg)
+    product = a * b
+    assert product == _multiply_by_sigma_pow(a, b)
+    assert product == oracle_multiply(a, b)

@@ -8,7 +8,8 @@ import time
 import pytest
 
 import qgha
-from qgha import errors
+import qgha.structure
+from qgha import Poly, errors
 from qgha.cli import main, run
 
 
@@ -328,6 +329,8 @@ def test_exit_code_of_each_error(cls, q1_h2_h, monkeypatch):
         expected = 2
     elif cls is errors.CapacityExceeded:
         expected = 4
+    elif cls is errors.InternalError:
+        expected = 5
     else:
         expected = 3
     exc = cls("boom", 0) if issubclass(cls, errors.ParseError) else cls("boom")
@@ -339,6 +342,28 @@ def test_exit_code_of_each_error(cls, q1_h2_h, monkeypatch):
     result = run(["analyze", q1_h2_h])
     assert result.exit_code == cls.exit_code == expected
     assert result.error == f"error: {exc}"
+
+
+def test_failed_center_certificate_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    path = write_algebra(
+        tmp_path,
+        "c.json",
+        {"field": {"type": "Q"}, "q": "-1", "f": ["0", "0", "1"], "g": ["0", "1", "1"]},
+    )
+    solve = qgha.structure.solve_sigma_q
+
+    def wrong_solution(algebra):
+        # a + 1 breaks sigma(a) - q*a = g when q != 1, so Z fails its check
+        return solve(algebra) + Poly.one(algebra.field)
+
+    monkeypatch.setattr(qgha.structure, "solve_sigma_q", wrong_solution)
+    code = main(["center", path])
+    captured = capsys.readouterr()
+    assert code == errors.InternalError.exit_code == 5
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal error: Z failed the twisted commutation check\n"
+    )
 
 
 def test_outputs_byte_identical(q1_h2_h, q2_h2_h):

@@ -1,10 +1,14 @@
+import random
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgha import NEG_INF, FieldSpec, Poly, affine_conjugate, poly_roots, sigma_pow
+from qgha import poly as poly_module
 from qgha.errors import (
     CapacityExceeded,
     DivisionByZero,
@@ -318,3 +322,161 @@ def test_canonical_form_cancels_common_factor(nums, k, d):
     _same_poly(halves + halves, direct)
     for c in direct.coeffs:
         assert isinstance(c.value, Fraction)
+
+
+# -- the packed integer kernel against schoolbook references ----------------
+
+# lengths on either side of every cutoff of the kernel
+_EDGE_LENGTHS = sorted(
+    {
+        n + delta
+        for n in (
+            poly_module._COMPOSE_MIN,
+            poly_module._LEAF_MAX,
+            2 * poly_module._LEAF_MAX,
+            4 * poly_module._LEAF_MAX,
+            2 * poly_module._PACK_MIN,
+        )
+        for delta in (-1, 0, 1)
+    }
+)
+_LENGTHS = st.one_of(st.integers(1, 300), st.sampled_from(_EDGE_LENGTHS))
+
+
+def _reference_conv(a, b) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, av in enumerate(a):
+        for j, bv in enumerate(b):
+            out[i + j] += av * bv
+    return out
+
+
+def _reference_compose(outer: Poly, inner: Poly) -> Poly:
+    """outer(inner) by schoolbook Horner on integers.
+
+    With outer = sum c_i h^i (c_i = n_i / D) and inner = m / E over integers,
+    outer(inner) = (sum n_i m^i E^(d-i)) / (D E^d); residues mod p over F_p.
+    """
+    field = outer.field
+    c = [v.value for v in outer.coeffs]
+    D = lcm(*(v.denominator for v in c))
+    E = lcm(*(v.value.denominator for v in inner.coeffs))
+    m = [int(v.value * E) for v in inner.coeffs]
+    d = len(c) - 1
+    acc: list = []
+    for i in range(d, -1, -1):
+        acc = _reference_conv(acc, m) or [0]
+        acc[0] += int(c[i] * D) * E ** (d - i)
+        if field.p is not None:
+            acc = [v % field.p for v in acc]
+    return Poly([Fraction(v, D * E ** max(d, 0)) for v in acc], field)
+
+
+@st.composite
+def _int_list(draw, length=_LENGTHS):
+    n = draw(length)
+    bits = draw(st.sampled_from([1, 4, 31, 64, 200]))
+    signs = draw(st.sampled_from(["mixed", "nonnegative", "negative"]))
+    density = draw(st.sampled_from([1.0, 0.3, 0.02]))
+    rng = draw(st.randoms(use_true_random=False))
+    out = []
+    for _ in range(n):
+        v = rng.randint(0, 2**bits) if rng.random() < density else 0
+        out.append(-v if signs == "negative" or (signs == "mixed" and rng.random() < 0.5) else v)
+    return out
+
+
+@given(a=_int_list(), b=_int_list())
+@settings(max_examples=80, deadline=None)
+def test_int_conv_matches_schoolbook(a, b):
+    assert poly_module._int_conv(a, b) == _reference_conv(a, b)
+
+
+@st.composite
+def _compose_args(draw):
+    field = draw(st.sampled_from(FIELDS))
+    nums = draw(_int_list())
+    if field.is_rationals:
+        den = draw(st.integers(1, 2**20))
+        outer = Poly([Fraction(v, den) for v in nums], field)
+        inner_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    else:
+        # unreduced representatives, up to 2^200
+        outer = Poly(nums, field)
+        inner_coeffs = st.integers(-(2**200), 2**200)
+    inner = Poly(draw(st.lists(inner_coeffs, min_size=1, max_size=4)), field)
+    return outer, inner
+
+
+@given(args=_compose_args())
+@settings(max_examples=80, deadline=None)
+def test_compose_matches_horner_reference(args):
+    outer, inner = args
+    got = outer.compose(inner)
+    want = _reference_compose(outer, inner)
+    assert (got._nums, got._den) == (want._nums, want._den)
+
+
+@pytest.mark.parametrize("n, bits", [(200, 8), (200, 100), (40, 4), (300, 200)])
+def test_int_conv_at_the_lane_bound(n, bits):
+    # equal extreme values make the middle coefficient n * max|a| * max|b|
+    top = 2**bits - 1
+    for a, b in (([top] * n, [top] * n), ([-top] * n, [top] * n)):
+        assert poly_module._int_conv(a, b) == _reference_conv(a, b)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=str)
+@pytest.mark.parametrize("gap", [129, 200, 257, 300])
+def test_compose_with_a_zero_block(field, gap):
+    # after the first split of 4 + h^gap, the lower block's upper halves are zero
+    outer = Poly([4] + [0] * gap + [1], field)
+    for inner in (Poly([0, 0, 1], field), Poly([Fraction(1, 2), 3, 1], field)):
+        want = _reference_compose(outer, inner)
+        got = outer.compose(inner)
+        assert (got._nums, got._den) == (want._nums, want._den)
+
+
+@given(
+    field=st.sampled_from(FIELDS),
+    nums=_int_list(st.integers(poly_module._COMPOSE_MIN - 1, 140)),
+)
+@settings(max_examples=30, deadline=None)
+def test_long_compose_matches_sympy(field, nums):
+    outer = Poly([v % 50 - 25 for v in nums], field)
+    inner = Poly([Fraction(1, 3), -2, 1] if field.is_rationals else [3, -2, 1], field)
+    expected = to_sympy(outer).compose(to_sympy(inner))
+    assert outer.compose(inner) == from_sympy(expected, field)
+
+
+@pytest.mark.parametrize(
+    "vals, nb",
+    [
+        ([127, -127, 0, 1, -1], 1),
+        ([-127] * 5, 1),
+        ([2**15 - 1, -(2**15 - 1)], 2),
+        ([-(2**39 - 1), -1, -(2**39 - 1)], 5),
+        ([0, 0, 0], 3),
+        ([5, -3, 0, 0, 0], 2),
+        ([0, 0, -(2**63 - 1)], 8),
+    ],
+)
+def test_pack_unpack_round_trip(vals, nb):
+    packed = poly_module._pack(vals, nb)
+    assert packed == sum(v << (8 * nb * i) for i, v in enumerate(vals))
+    assert poly_module._unpack(packed, len(vals), nb) == vals
+
+
+def test_compose_large_degree_over_f17_is_fast():
+    # lanes that are never reduced mod 17 would make this take minutes
+    rng = random.Random("compose-4096")
+    outer = Poly([rng.randint(0, 16) for _ in range(4096)] + [1], F17)
+    inner = Poly([5, 3, 11], F17)
+    start = time.perf_counter()
+    composed = outer.compose(inner)
+    assert time.perf_counter() - start < 5.0
+    assert composed.degree() == 8192
+    for t in (0, 1, 6, 16):
+        t = F17.scalar(t)
+        assert composed.evaluate(t) == outer.evaluate(inner.evaluate(t))
