@@ -17,8 +17,11 @@ from an exact coefficient bound, and CPython multiplies the two integers.
 `compose` runs Horner when the outer polynomial is short.  A longer outer
 is split as A + h^k B, with k a power of two, and rebuilt from its two
 halves and the memoized power m^k of the inner numerators, reducing mod p
-at every node; blocks of up to `_LEAF_MAX` coefficients run Horner on one
-packed integer.  All paths are exact, so they give the same results.
+at every node; short blocks with narrow lanes run Horner on one packed
+integer.  Over Q the split gives way to Horner again once the result's
+coefficient bound is long for the outer length, where Karatsuba products
+of huge integers cost more than Horner's big-by-small steps.  All paths
+are exact, so they give the same results.
 """
 
 from __future__ import annotations
@@ -42,9 +45,17 @@ _PACK_MIN = 9
 # almost every compose of a gk run, keep the plain Horner loop, where
 # packing measured no gain.
 _COMPOSE_MIN = 12
+# Over Q the result coefficients grow with the outer length; Horner wins
+# again once their bound exceeds _SPLIT_BITS * sqrt(outer length) bits
+# (crossovers measured from f = h^2 + 1 at length ~2800 to f = h^2 + 2^15
+# at ~40 all sit within 80..106 * sqrt(length)).  Over F_p every node is
+# reduced, so the split always runs.
+_SPLIT_BITS = 90
 # Longest block that the divide-and-conquer compose evaluates by Horner on
-# one packed integer; its lanes hold the block's unreduced result.
+# one packed integer, whose lanes hold the block's unreduced result: at
+# most _LEAF_MAX coefficients and lanes of about _LEAF_BITS bits.
 _LEAF_MAX = 64
+_LEAF_BITS = 256
 
 
 def _pack(vals, nb: int) -> int:
@@ -109,6 +120,8 @@ def _horner_packed(block, m, e: int) -> list:
     whole long polynomial in one integer would carry huge lanes over F_p.
     """
     top = len(block) - 1
+    if not top:
+        return list(block)  # no power of m: packing m could overflow the lanes
     if e != 1:
         block = [v * e ** (top - i) for i, v in enumerate(block)]
     # |result_k| <= L * max|block| * (sum |m_i|)^top
@@ -125,19 +138,50 @@ def _horner_packed(block, m, e: int) -> list:
     return _unpack(acc, top * (len(m) - 1) + 1, nb)
 
 
-def _compose_split(nums, m, e: int, p, m_powers: list) -> list:
+def _split_leaf(nums, m, e: int, p) -> int:
+    """Leaf length for `_compose_split` of nums by m / e, or 0 to run Horner."""
+    if len(nums) < _COMPOSE_MIN or len(m) < 2:
+        return 0
+    # bits per power of m in the bound on the result coefficients
+    growth = (e * sum(map(abs, m))).bit_length()
+    if p is None:
+        # bound on the bits of the result coefficients
+        bits = max(map(int.bit_length, nums)) + (len(nums) - 1) * growth
+        if bits * bits > _SPLIT_BITS**2 * len(nums):
+            return 0
+    return min(_LEAF_MAX, max(1, _LEAF_BITS // growth))
+
+
+def _compose_horner(nums, m, e: int, p) -> list:
+    """sum nums[i] * m^i * e^(L-1-i), L = len(nums), by Horner on lists."""
+    d = len(nums) - 1
+    acc: list = []
+    for i in range(d, -1, -1):
+        # _normal with denominator 1 reduces mod p and is a no-op over Q
+        acc, _ = _normal(_int_conv(acc, m), 1, p)
+        if nums[i]:
+            add = nums[i] * e ** (d - i)
+            if acc:
+                acc[0] += add
+            else:
+                acc = [add]
+    return acc
+
+
+def _compose_split(nums, m, e: int, p, m_powers: list, leaf: int) -> list:
     """sum nums[i] * m^i * e^(L-1-i), L = len(nums), reduced mod p over F_p.
 
     With nums = A + h^k B for k the largest power of two below L, this is
     H(A) * e^len(B) + m^k * H(B), where H is this map on each half.
-    m_powers[t] holds m^(2^t) and is extended as needed.
+    m_powers[t] holds m^(2^t) and is extended as needed; blocks of at most
+    leaf coefficients run `_horner_packed`.
     """
-    if len(nums) <= _LEAF_MAX:
+    if len(nums) <= leaf:
         return _normal(_horner_packed(nums, m, e), 1, p)[0]
     t = (len(nums) - 1).bit_length() - 1
     k = 1 << t
-    low = _compose_split(nums[:k], m, e, p, m_powers)
-    high = _compose_split(nums[k:], m, e, p, m_powers)
+    low = _compose_split(nums[:k], m, e, p, m_powers, leaf)
+    high = _compose_split(nums[k:], m, e, p, m_powers, leaf)
     while len(m_powers) <= t:
         square = m_powers[-1]
         m_powers.append(_normal(_int_conv(square, square), 1, p)[0])
@@ -366,10 +410,11 @@ class Poly:
         """self(inner(h)) on integers.
 
         With self = sum n_i h^i / D of degree d and inner = m / E,
-        self(inner) = (sum n_i m^i E^(d-i)) / (D E^d).  A short self runs
-        Horner over coefficient lists; a longer one splits its coefficients
-        in halves (`_compose_split`), so the long products are Kronecker
-        products of packed integers.
+        self(inner) = (sum n_i m^i E^(d-i)) / (D E^d).  A longer self
+        splits its coefficients in halves (`_compose_split`), so the long
+        products are Kronecker products of packed integers; a short self,
+        or one whose result over Q has long coefficients for its length
+        (`_split_leaf`), runs Horner over coefficient lists.
         """
         self._check(inner)
         if self.degree() >= 1 and inner.degree() >= 1:
@@ -377,19 +422,11 @@ class Poly:
         p = self.field.p
         nums, m, e = self._nums, inner._nums, inner._den
         d = len(nums) - 1
-        if len(nums) >= _COMPOSE_MIN and len(m) >= 2:
-            acc = _compose_split(nums, m, e, p, [m])
-            return Poly._make(acc, self._den * e**d, self.field)
-        acc: list = []
-        for i in range(d, -1, -1):
-            # _normal with denominator 1 reduces mod p and is a no-op over Q
-            acc, _ = _normal(_int_conv(acc, m), 1, p)
-            if nums[i]:
-                add = nums[i] * e ** (d - i)
-                if acc:
-                    acc[0] += add
-                else:
-                    acc = [add]
+        leaf = _split_leaf(nums, m, e, p)
+        if leaf:
+            acc = _compose_split(nums, m, e, p, [m], leaf)
+        else:
+            acc = _compose_horner(nums, m, e, p)
         return Poly._make(acc, self._den * e ** max(d, 0), self.field)
 
     def derivative(self) -> Poly:

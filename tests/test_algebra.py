@@ -10,6 +10,7 @@ from qgha import (
     DEG_BOTTOM,
     AlgebraParams,
     Element,
+    FieldSpec,
     Poly,
     leading_term_product,
     oracle_multiply,
@@ -302,3 +303,15 @@ def test_multiply_orbits_match_references(seed, index, max_deg):
     product = a * b
     assert product == _multiply_by_sigma_pow(a, b)
     assert product == oracle_multiply(a, b)
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(1009)], ids=str)
+def test_product_through_a_65_coefficient_compose(field):
+    # h * x^7 = x^7 sigma^7(h): the orbit composes sigma^6(h), 65
+    # coefficients, with f = h^2 + 300, whose numerators exceed a byte
+    A = algebra(field, 2, [300, 0, 1], [0, 1])
+    h = Element.monomial(A, 0, Poly.h(field), 0)
+    x7 = Element.monomial(A, 7, Poly.one(field), 0)
+    product = h * x7
+    assert product == Element.monomial(A, 7, sigma_pow(A.f, 7, Poly.h(field)), 0)
+    assert product == oracle_multiply(h, x7)

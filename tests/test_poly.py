@@ -394,14 +394,22 @@ def test_int_conv_matches_schoolbook(a, b):
     assert poly_module._int_conv(a, b) == _reference_conv(a, b)
 
 
+F257 = FieldSpec(257)
+F_BIG = FieldSpec(2**61 - 1)
+
+
 @st.composite
 def _compose_args(draw):
-    field = draw(st.sampled_from(FIELDS))
+    field = draw(st.sampled_from(FIELDS + [F257, F_BIG]))
     nums = draw(_int_list())
     if field.is_rationals:
         den = draw(st.integers(1, 2**20))
         outer = Poly([Fraction(v, den) for v in nums], field)
-        inner_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+        # wide numerators send long outers back to Horner
+        inner_coeffs = st.one_of(
+            st.fractions(min_value=-9, max_value=9, max_denominator=12),
+            st.integers(-(2**20), 2**20),
+        )
     else:
         # unreduced representatives, up to 2^200
         outer = Poly(nums, field)
@@ -436,6 +444,58 @@ def test_compose_with_a_zero_block(field, gap):
         want = _reference_compose(outer, inner)
         got = outer.compose(inner)
         assert (got._nums, got._den) == (want._nums, want._den)
+
+
+# 2^j + 1 coefficients leave a one-coefficient block after the splits,
+# which must not pack the inner numerators into its (narrow) lanes
+@pytest.mark.parametrize("length", [65, 129, 193, 257])
+@pytest.mark.parametrize(
+    "field, inner",
+    [
+        (QQ, [1000, 0, 1]),
+        (QQ, [Fraction(300, 7), -5, 1]),
+        (F257, [256, 3, 1]),
+        (FieldSpec(65537), [1000, 0, 1]),
+        (F_BIG, [2**60 + 5, 3, 2**59]),
+    ],
+    ids=lambda v: str(v) if isinstance(v, FieldSpec) else "",
+)
+def test_compose_with_wide_inner_numerators(field, inner, length):
+    rng = random.Random(f"wide-{length}")
+    outer = Poly([rng.randint(-300, 300) for _ in range(length - 1)] + [1], field)
+    inner = Poly(inner, field)
+    want = _reference_compose(outer, inner)
+    got = outer.compose(inner)
+    assert (got._nums, got._den) == (want._nums, want._den)
+    # the split kernel itself, whichever path compose picked above
+    m, e, d = list(inner._nums), inner._den, length - 1
+    for leaf in (1, 5, poly_module._LEAF_MAX):
+        acc = poly_module._compose_split(list(outer._nums), m, e, field.p, [m], leaf)
+        got = Poly._make(acc, outer._den * e**d, field)
+        assert (got._nums, got._den) == (want._nums, want._den)
+
+
+# Which path a long compose takes; the wrong one is correct but slow
+# (over Q at degree 4096 with f = h^2 + 1 the split took ~3x Horner's time,
+# and Horner over F_17 ~50x the split's).
+@pytest.mark.parametrize(
+    "field, inner, length, bits, split",
+    [
+        (QQ, [1, 0, 1], 11, 2, False),  # short outer
+        (QQ, [1, 0, 1], 250, 60, True),  # criterion-2 product sizes
+        (QQ, [0, 0, 1], 4097, 2, True),  # no coefficient growth
+        (QQ, [1, 0, 1], 4097, 2, False),  # ~8200-bit result coefficients
+        (QQ, [1, 0, 1], 2049, 2400, False),  # sigma^11(h) for f = h^2 + 1
+        (QQ, [2**15, 0, 1], 256, 2, False),
+        (F17, [5, 3, 11], 4097, 4, True),
+        (F_BIG, [2**60 + 5, 3, 2**59], 4097, 61, True),
+    ],
+)
+def test_long_compose_path(field, inner, length, bits, split):
+    nums = [2**bits - 1] * (length - 1) + [1]
+    leaf = poly_module._split_leaf(nums, inner, 1, field.p)
+    assert bool(leaf) == split
+    assert leaf <= poly_module._LEAF_MAX
 
 
 @given(
