@@ -1,12 +1,14 @@
 """Configurable capacity bounds.
 
 Degrees multiply under repeated substitution of f, so unguarded inputs can
-exhaust memory; exhaustive prime-field searches are likewise only viable for
-small p.  Both bounds can be overridden at once through the QGHA_CAPACITY
+exhaust memory; exhaustive searches (roots over F_p, expression expansion,
+the gk horizon, the witness depth) are likewise only viable when small.
+Both bounds can be overridden at once through the QGHA_CAPACITY
 environment variable.
 """
 
 import os
+from functools import lru_cache
 
 from .errors import CapacityExceeded
 
@@ -16,15 +18,19 @@ DEFAULT_SEARCH_CAP = 10**4
 _ENV_VAR = "QGHA_CAPACITY"
 
 
-def _env_override() -> "int | None":
-    raw = os.environ.get(_ENV_VAR)
-    if raw is None:
-        return None
+@lru_cache(maxsize=1)
+def _parse_override(raw: str) -> "int | None":
+    """The bound a QGHA_CAPACITY value sets, parsed once per raw string."""
     try:
         value = int(raw)
     except ValueError:
         return None
     return value if value > 0 else None
+
+
+def _env_override() -> "int | None":
+    raw = os.environ.get(_ENV_VAR)
+    return None if raw is None else _parse_override(raw)
 
 
 def degree_cap() -> int:

@@ -2,18 +2,19 @@
 automorphism-group computation and the (generalized) down-up conversions.
 
 For q != 0 and deg f >= 2 every isomorphism is a composite of three moves:
-a shift of h, a rescaling of h, and a rescaling of g.  The decider solves
-for the composite affine map psi(h) = u*h + v with f' = psi o f o psi^{-1}
-together with the scaling c such that g' = c * (g o psi^{-1}).
+a shift of h, a rescaling of h, and a rescaling of g.  The decider and the
+automorphism group both solve f'(u*h + v) = u*f(h) + v for the affine map
+psi(h) = u*h + v with one solver, `_affine_maps`; the decider then finds c
+with g' = c * (g o psi^{-1}), and automorphisms are the case f' = f.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import comb
 
 from .algebra import AlgebraParams, Element
-from .capacity import check_search
 from .errors import (
     FieldMismatch,
     NonSplitQuadratic,
@@ -112,25 +113,32 @@ def apply_witness(algebra: AlgebraParams, witness: IsoWitness) -> AlgebraParams:
     )
 
 
-def _v_candidates(a: AlgebraParams, b: AlgebraParams, u: Scalar):
-    """Candidate shifts v for a given scale u.
+def _affine_maps(f: Poly, f2: Poly):
+    """Every (u, v) with f2(u*h + v) = u*f(h) + v, in ascending (u, v) order;
+    deg f = deg f2 = n >= 2.
 
-    When the characteristic does not divide n = deg f, matching the
-    h^(n-1) coefficient of f' = psi o f o psi^{-1} forces
-    -n*a_n*u^(1-n)*v + a_{n-1}*u^(2-n) = f'_{n-1}; otherwise the shift is
-    found by exhaustive search over F_p.
+    The leading coefficients force u^(n-1) = lead(f)/lead(f2).  For each u
+    the h^k coefficient of f2(u*h + v) - u*f(h) - v is the polynomial
+    C_k(v) = u^k * sum_{i>=k} binom(i, k)*f2_i*v^(i-k) - u*f_k - [k = 0]*v.
+    Walking k = n-1, ..., 0, the first C_k not identically zero gives the
+    candidates for v: its roots, or none when it is constant.  C_0 has
+    degree n, so the walk ends; when n != 0 in the field C_(n-1) is already
+    linear.  Each candidate is verified by full composition.
     """
-    field = a.field
-    n = a.f.degree()
-    p = field.char
-    if p == 0 or n % p != 0:
-        lead = a.f.lead()
-        sub_lead = a.f.coeff(n - 1)
-        target = b.f.coeff(n - 1)
-        v = (sub_lead * u ** (2 - n) - target) * u ** (n - 1) / (field.scalar(n) * lead)
-        return [v]
-    check_search(p, f"shift search in F_{p}")
-    return list(field.elements())
+    field = f.field
+    n = f.degree()
+    for u in sorted(nth_roots(n - 1, f.lead() / f2.lead()), key=Scalar.sort_key):
+        for k in range(n - 1, -1, -1):
+            c_k = Poly(
+                [u**k * comb(i, k) * f2.coeff(i) for i in range(k, n + 1)], field
+            ) - Poly([u * f.coeff(k), int(k == 0)], field)
+            if not c_k.is_zero():
+                break
+        if c_k.degree() < 1:  # a nonzero constant: no v for this u
+            continue
+        for v in sorted(poly_roots(c_k), key=Scalar.sort_key):
+            if affine_conjugate(f, u, v) == f2:
+                yield u, v
 
 
 def is_isomorphic(a: AlgebraParams, b: AlgebraParams):
@@ -138,9 +146,9 @@ def is_isomorphic(a: AlgebraParams, b: AlgebraParams):
     IsoWitness or None.
 
     q, deg f and deg g are isomorphism invariants in this regime, so
-    mismatches short-circuit.  Candidate scales u come from the roots of
-    u^(n-1) = lead(f)/lead(f'); candidates are tried in ascending canonical
-    scalar order and every witness is re-verified in full before return.
+    mismatches short-circuit.  The affine maps psi(h) = u*h + v with
+    f' o psi = psi o f come from `_affine_maps` in ascending (u, v) order;
+    the first whose pull-back of g rescales onto g' gives the witness.
     """
     if a.field != b.field:
         raise FieldMismatch("presentations over different fields")
@@ -154,18 +162,14 @@ def is_isomorphic(a: AlgebraParams, b: AlgebraParams):
     if b.f.degree() != n or a.g.degree() != b.g.degree():
         return None
     field = a.field
-    ratio = a.f.lead() / b.f.lead()
-    for u in sorted(nth_roots(n - 1, ratio), key=lambda s: s.sort_key()):
-        for v in _v_candidates(a, b, u):
-            if affine_conjugate(a.f, u, v) != b.f:
-                continue
-            if a.g.is_zero():
-                return IsoWitness(u, v, field.one)
-            psi_inv = Poly([-v / u, u.inv()], field)
-            pulled = a.g.compose(psi_inv)
-            c = b.g.lead() / pulled.lead()
-            if c * pulled == b.g:
-                return IsoWitness(u, v, c)
+    for u, v in _affine_maps(a.f, b.f):
+        if a.g.is_zero():
+            return IsoWitness(u, v, field.one)
+        psi_inv = Poly([-v / u, u.inv()], field)
+        pulled = a.g.compose(psi_inv)
+        c = b.g.lead() / pulled.lead()
+        if c * pulled == b.g:
+            return IsoWitness(u, v, c)
     return None
 
 
@@ -197,23 +201,14 @@ class AutGroupDescription:
         return (a1 * a2, a1 * b2 + b1)
 
 
-def _fixes_presentation(algebra: AlgebraParams, a: Scalar, b: Scalar, regime) -> bool:
-    sub = Poly([b, a], algebra.field)
-    if algebra.f.compose(sub) != a * algebra.f + Poly.const(b):
-        return False
-    if regime is AutRegime.G_ZERO:
-        return True
-    return algebra.g.compose(sub) == a ** algebra.g.degree() * algebra.g
-
-
 def automorphism_group(algebra: AlgebraParams) -> AutGroupDescription:
     """Compute the automorphism group for deg f >= 2 and q != 0.
 
-    When char = 0 or char > deg f, candidates (a, b) come from
-    a^(deg f - 1) = 1 with b = (a-1)*a_{n-1}/(n*a_n) forced by a; each
-    candidate is then verified in full, and the finite part is cyclic of
-    order dividing deg f - 1.  For 0 < char <= deg f the finite part is
-    found by exhaustive search over F_p* x F_p and may be non-abelian.
+    The finite part is the set of affine maps (a, b) with
+    f(a*h + b) = a*f(h) + b, solved by `_affine_maps(f, f)` in every
+    characteristic, that also satisfy g(a*h + b) = a^(deg g)*g when g != 0.
+    For char = 0 or char > deg f it is cyclic of order dividing deg f - 1;
+    for 0 < char <= deg f (`char_caveat`) it may be non-abelian.
     """
     f, g, field = algebra.f, algebra.g, algebra.field
     n = f.degree()
@@ -222,25 +217,12 @@ def automorphism_group(algebra: AlgebraParams) -> AutGroupDescription:
             "automorphism description needs deg f >= 2 and q != 0"
         )
     regime = AutRegime.G_ZERO if g.is_zero() else AutRegime.G_NONZERO
-    p = field.char
-    char_caveat = 0 < p <= n
-    candidates = []
-    if char_caveat:
-        check_search(p * (p - 1), f"automorphism search over F_{p}")
-        for a in field.elements():
-            if a.is_zero():
-                continue
-            for b in field.elements():
-                candidates.append((a, b))
-    else:
-        n_scalar = field.scalar(n)
-        for a in sorted(nth_roots(n - 1, field.one), key=lambda s: s.sort_key()):
-            b = (a - field.one) * f.coeff(n - 1) / (n_scalar * f.lead())
-            candidates.append((a, b))
     finite = [
-        (a, b) for a, b in candidates if _fixes_presentation(algebra, a, b, regime)
+        (a, b)
+        for a, b in _affine_maps(f, f)
+        if regime is AutRegime.G_ZERO
+        or g.compose(Poly([b, a], field)) == a ** g.degree() * g
     ]
-    finite.sort(key=lambda ab: (ab[0].sort_key(), ab[1].sort_key()))
     abelian = all(
         AutGroupDescription.compose(p1, p2) == AutGroupDescription.compose(p2, p1)
         for idx, p1 in enumerate(finite)
@@ -251,7 +233,7 @@ def automorphism_group(algebra: AlgebraParams) -> AutGroupDescription:
         finite_part=tuple(finite),
         abelian=abelian,
         regime=regime,
-        char_caveat=char_caveat,
+        char_caveat=0 < field.char <= n,
     )
 
 

@@ -14,7 +14,8 @@ Subcommands:
     convert ...                     down-up / generalized down-up conversions
 
 Exit codes: 0 success, 1 usage, 2 input parsing, 3 precondition or regime,
-4 capacity, 5 internal error (a result that failed its own certificate);
+4 capacity, 5 internal error (a result that failed its own certificate, or
+any bare ValueError, which no input error raises);
 each QghaError subclass declares its own as `exit_code`.
 Identical inputs produce byte-identical outputs.  The QGHA_CAPACITY
 environment variable overrides the degree/search bound.
@@ -36,7 +37,7 @@ from .classify import (
     is_isomorphic,
     to_gdua,
 )
-from .errors import QghaError
+from .errors import InternalError, QghaError
 from .exprparse import parse_element_expr
 from .fields import FieldSpec
 from .rewrite import oracle_multiply
@@ -62,7 +63,6 @@ from .structure import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
-EXIT_REGIME = 3
 
 
 class _UsageError(Exception):
@@ -312,8 +312,10 @@ def run(argv) -> CommandResult:
         return CommandResult(EXIT_PARSE, error=f"error: {exc}")
     except QghaError as exc:
         return CommandResult(exc.exit_code, error=f"error: {exc}")
-    except ValueError as exc:
-        return CommandResult(EXIT_REGIME, error=f"error: {exc}")
+    except ValueError as exc:  # no input error is a bare ValueError
+        return CommandResult(
+            InternalError.exit_code, error=f"error: internal error: {exc}"
+        )
 
 
 def main(argv=None) -> int:

@@ -98,6 +98,16 @@ class _Parser:
         self.idx += 1
         return token
 
+    def _number(self) -> int:
+        """Consume a number token; too many digits for int() is a syntax error."""
+        token = self._advance()
+        try:
+            return int(token.text)
+        except ValueError:
+            raise ExprSyntaxError(
+                f"integer literal of {len(token.text)} digits is too long", token.pos
+            ) from None
+
     def _at_op(self, *ops: str) -> bool:
         token = self._peek()
         return token.kind == "op" and token.text in ops
@@ -138,8 +148,7 @@ class _Parser:
         token = self._peek()
         if token.kind != "number":
             raise ExprSyntaxError("expected a nonnegative integer exponent", token.pos)
-        self._advance()
-        exponent = int(token.text)
+        exponent = self._number()
         if exponent > 2**31:
             raise CapacityExceeded(f"exponent {exponent} beyond 2^31")
         # base^1, ..., base^n in turn: the first size over the bound is reported
@@ -171,15 +180,13 @@ class _Parser:
         if self._at_op("-"):
             self._advance()
             negative = True
-        numerator = int(self._advance().text)
-        value = self.field.scalar(numerator)
+        value = self.field.scalar(self._number())
         if self._at_op("/"):
             self._advance()
             token = self._peek()
             if token.kind != "number":
                 raise ExprSyntaxError("expected digits after '/'", token.pos)
-            self._advance()
-            denominator = self.field.scalar(int(token.text))
+            denominator = self.field.scalar(self._number())
             if denominator.is_zero():
                 raise DivisionByZero("scalar with zero denominator")
             value = value / denominator

@@ -537,12 +537,15 @@ def _rational_roots(p: Poly) -> set[Scalar]:
 def poly_roots(p: Poly) -> set[Scalar]:
     """All ground-field roots of p != 0.
 
-    Over Q: rational-root theorem on the primitive integer form.  Over F_p:
-    exhaustive evaluation, guarded by the search capacity bound.
+    A linear p has the one root -c0/c1.  Otherwise, over Q: rational-root
+    theorem on the primitive integer form; over F_p: exhaustive evaluation,
+    guarded by the search capacity bound.
     """
     if p.is_zero():
         raise ZeroPolynomial("root finding needs a nonzero polynomial")
     field = p.field
+    if p.degree() == 1:
+        return {-p.coeff(0) / p.coeff(1)}
     if field.is_rationals:
         return _rational_roots(p)
     check_search(field.p, f"root search in F_{field.p}")

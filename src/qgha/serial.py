@@ -29,13 +29,15 @@ _FP_SCALAR = re.compile(r"^\d+$")
 def scalar_from_text(field: FieldSpec, text) -> Scalar:
     if not isinstance(text, str):
         raise SchemaError(f"scalar must be a string, got {text!r}")
-    if field.is_rationals:
-        if not _Q_SCALAR.match(text):
-            raise SchemaError(f"malformed rational scalar {text!r}")
-        return field.scalar(text)
-    if not _FP_SCALAR.match(text):
-        raise SchemaError(f"malformed residue {text!r}")
-    residue = int(text)
+    if not (_Q_SCALAR if field.is_rationals else _FP_SCALAR).match(text):
+        kind = "rational scalar" if field.is_rationals else "residue"
+        raise SchemaError(f"malformed {kind} {text!r}")
+    try:
+        if field.is_rationals:
+            return field.scalar(text)
+        residue = int(text)
+    except ValueError:  # more digits than int() converts
+        raise SchemaError(f"scalar of {len(text)} characters is too long") from None
     if residue >= field.p:
         raise SchemaError(f"residue {residue} not in [0, {field.p})")
     return field.scalar(residue)
@@ -95,7 +97,7 @@ def load_algebra(path) -> AlgebraParams:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer with too many digits
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
     return algebra_from_dict(data)
 

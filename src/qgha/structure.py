@@ -87,8 +87,9 @@ def noetherian_witness_check(algebra: AlgebraParams, depth: int) -> WitnessChain
     Needs a fixed point beta of f in the ground field; shifting h by beta
     normalizes to f(0) = 0, after which sigma^k(h) is divisible by f for
     every k >= 1 while h itself is not, so each inclusion I_n c I_{n+1}
-    is strict.  As p(f(h)) = p(0) mod f, sigma^k(h) leaves the constant
-    residue c_(k-1) mod f, where c_0 = 0 and c_j = f(c_(j-1)).
+    is strict.  Both facts are checked once on the shifted f: as
+    p(f(h)) = p(0) mod f, sigma^k(h) = sigma^(k-1)(h)(f) leaves the residue
+    sigma^(k-1)(h)(0) mod f, which is 0 for every k exactly when f(0) = 0.
     """
     f = algebra.f
     field = algebra.field
@@ -104,15 +105,10 @@ def noetherian_witness_check(algebra: AlgebraParams, depth: int) -> WitnessChain
         )
     beta = min(fixed_points, key=lambda s: s.sort_key())
     shifted_f = f.compose(Poly([beta, field.one], field)) - Poly.const(beta)
+    divisible = shifted_f.evaluate(field.zero).is_zero()
     h_free = not (Poly.h(field) % shifted_f).is_zero()
-    checks = []
-    divisible = True
-    residue = field.zero
-    for n in range(depth + 1):
-        divisible = divisible and residue.is_zero()
-        checks.append(StrictnessCheck(n, divisible, h_free))
-        residue = shifted_f.evaluate(residue)
-    return WitnessChain(beta=beta, depth=depth, checks=tuple(checks))
+    checks = tuple(StrictnessCheck(n, divisible, h_free) for n in range(depth + 1))
+    return WitnessChain(beta=beta, depth=depth, checks=checks)
 
 
 def is_noetherian(algebra: AlgebraParams, witness_depth: int = 5) -> NoetherianReport:

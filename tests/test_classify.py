@@ -148,7 +148,8 @@ def test_iso_cubic_leading_root_search():
 
 
 def test_iso_char_divides_degree_branch():
-    # over F_3 with deg f = 3 the shift candidates are searched exhaustively
+    # over F_3 with deg f = 3 the h^2 coefficient does not involve the shift,
+    # so the shift comes from the roots of a lower coefficient
     A = AlgebraParams(F3, F3.scalar(2), Poly([0, 1, 0, 1], F3), Poly([0, 1], F3))
     B = transform_type_I(A, F3.one)
     witness = is_isomorphic(A, B)
@@ -309,9 +310,12 @@ def test_downup_field_mismatch():
 
 
 def test_aut_char_caveat_capacity(monkeypatch):
-    monkeypatch.setenv("QGHA_CAPACITY", "5")
+    # the only exhaustive step left is a root search over F_p, bounded by p
     A = AlgebraParams(F3, F3.scalar(2), Poly([0, 0, 0, 1], F3), Poly([0, 2, 0, 1], F3))
     from qgha.errors import CapacityExceeded
 
-    with pytest.raises(CapacityExceeded):
-        automorphism_group(A)  # pair search size 3*2 = 6 > 5
+    monkeypatch.setenv("QGHA_CAPACITY", "3")
+    assert len(automorphism_group(A).finite_part) == 6
+    monkeypatch.setenv("QGHA_CAPACITY", "2")
+    with pytest.raises(CapacityExceeded, match="root search in F_3"):
+        automorphism_group(A)

@@ -301,6 +301,44 @@ def test_exit_code_parse(tmp_path, q2_h2_h):
     assert "position 2" in parse_err.error
 
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="int() converts any number of digits")
+def test_oversized_integer_literals_are_input_errors(tmp_path, q1_h2_h):
+    digits = "9" * (_DIGIT_LIMIT + 1)
+    big_q = write_algebra(
+        tmp_path,
+        "q.json",
+        {"field": {"type": "Q"}, "q": digits, "f": ["0", "0", "1"], "g": ["0", "1"]},
+    )
+    big_p = tmp_path / "p.json"
+    big_p.write_text(
+        '{"field": {"type": "Fp", "p": %s}, "q": "1", "f": ["0", "1"], "g": ["1"]}'
+        % digits,
+        encoding="utf-8",
+    )
+    for argv, message in (
+        (["deg", q1_h2_h, digits], "too long (at position 0)"),  # exprparse
+        (["deg", q1_h2_h, "x^" + digits], "too long (at position 2)"),
+        (["analyze", big_q], "too long"),  # serial.scalar_from_text
+        (["analyze", str(big_p)], "invalid JSON"),  # serial.load_algebra
+    ):
+        result = run(argv)
+        assert (result.exit_code, result.payload) == (2, ""), argv[:2]
+        assert message in result.error
+
+
+def test_stray_value_error_is_an_internal_error(q1_h2_h, monkeypatch):
+    def fail(path):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(qgha.cli, "load_algebra", fail)
+    result = run(["analyze", q1_h2_h])
+    assert result.exit_code == errors.InternalError.exit_code == 5
+    assert result.error == "error: internal error: boom"
+
+
 def test_exit_code_capacity(q1_h2_h, monkeypatch):
     monkeypatch.setenv("QGHA_CAPACITY", "8")
     assert run(["gk", q1_h2_h, "--max-n", "20"]).exit_code == 4

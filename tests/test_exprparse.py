@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction
 
@@ -85,6 +86,18 @@ def test_syntax_error_positions(A):
         with pytest.raises(ExprSyntaxError) as info:
             parse_element_expr(text, A)
         assert info.value.position == pos, text
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="int() converts any number of digits")
+def test_oversized_integer_literal(A):
+    digits = "9" * (_DIGIT_LIMIT + 1)
+    for text, pos in ((digits, 0), ("x^" + digits, 2), ("-1/" + digits, 3)):
+        with pytest.raises(ExprSyntaxError, match="too long") as info:
+            parse_element_expr(text, A)
+        assert info.value.position == pos
 
 
 def test_lex_error(A):
