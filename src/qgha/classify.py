@@ -11,8 +11,8 @@ with g' = c * (g o psi^{-1}), and automorphisms are the case f' = f.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .algebra import AlgebraParams, Element
 from .errors import (
@@ -62,8 +62,7 @@ def transform_type_III(algebra: AlgebraParams, lam, mu) -> AlgebraParams:
     return AlgebraParams(field, algebra.q, algebra.f, lam * mu * algebra.g)
 
 
-@dataclass(frozen=True)
-class IsoWitness:
+class IsoWitness(NamedTuple):
     """Affine map psi(h) = u*h + v plus the g-rescaling c realizing an
     isomorphism: f' = psi o f o psi^{-1}, g' = c*(g o psi^{-1}), q' = q.
 
@@ -178,8 +177,7 @@ class AutRegime(enum.Enum):
     G_ZERO = "g_zero"
 
 
-@dataclass(frozen=True)
-class AutGroupDescription:
+class AutGroupDescription(NamedTuple):
     """Automorphism group of a presentation with q != 0 and deg f >= 2.
 
     The torus factor is F* (g != 0, the maps x -> l*x, y -> y/l) or F* x F*
@@ -259,8 +257,7 @@ def automorphism_preserves_relations(algebra: AlgebraParams, pair) -> bool:
     return rel_hx.is_zero() and rel_yh.is_zero() and rel_yx.is_zero()
 
 
-@dataclass(frozen=True)
-class GduaPresentation:
+class GduaPresentation(NamedTuple):
     """Generalized down-up presentation L(v, r, s, gamma)."""
 
     v: Poly

@@ -19,46 +19,19 @@ any bare ValueError, which no input error raises);
 each QghaError subclass declares its own as `exit_code`.
 Identical inputs produce byte-identical outputs.  The QGHA_CAPACITY
 environment variable overrides the degree/search bound.
+
+Start-up is part of every call's cost, so each handler imports the modules it
+uses: `deg` never loads the classifier, the growth code or the oracle.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .algebra import DEG_BOTTOM
-from .classify import (
-    GduaPresentation,
-    automorphism_group,
-    downup_candidates,
-    from_gdua,
-    is_isomorphic,
-    to_gdua,
-)
 from .errors import InternalError, QghaError
-from .exprparse import parse_element_expr
-from .fields import FieldSpec
-from .rewrite import oracle_multiply
-from .serial import (
-    algebra_to_dict,
-    aut_to_dict,
-    center_to_dict,
-    gdua_to_dict,
-    load_algebra,
-    poly_from_list,
-    scalar_from_text,
-    witness_chain_to_dict,
-)
-from .structure import (
-    CenterKind,
-    center_describe,
-    gk_dimension_sequence,
-    is_domain,
-    is_noetherian,
-    noetherian_witness_check,
-)
+from .serial import load_algebra
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,15 +62,14 @@ def _int_at_least(low: int):
     return parse
 
 
-@dataclass
-class CommandResult:
-    exit_code: int
-    payload: str = ""
-    note: str = ""
-    error: str = ""
+CommandResult = namedtuple(
+    "CommandResult", "exit_code payload note error", defaults=("", "", "")
+)
 
 
 def _json(data) -> str:
+    import json
+
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
@@ -106,6 +78,8 @@ def _bool(value: bool) -> str:
 
 
 def _center_summary(algebra) -> str:
+    from .structure import CenterKind, center_describe
+
     if algebra.f.degree() < 2 or algebra.q.is_zero():
         return "not computed (needs deg f >= 2 and q != 0)"
     center = center_describe(algebra)
@@ -117,6 +91,8 @@ def _center_summary(algebra) -> str:
 
 
 def _cmd_analyze(ns) -> CommandResult:
+    from .structure import is_domain, is_noetherian
+
     algebra = load_algebra(ns.file)
     domain = is_domain(algebra)
     noetherian = is_noetherian(algebra)
@@ -130,14 +106,22 @@ def _cmd_analyze(ns) -> CommandResult:
 
 
 def _cmd_mul(ns) -> CommandResult:
+    from .exprparse import parse_element_expr
+
     algebra = load_algebra(ns.file)
     left = parse_element_expr(ns.e1, algebra)
     right = parse_element_expr(ns.e2, algebra)
-    product = oracle_multiply(left, right) if ns.oracle else left * right
-    return CommandResult(EXIT_OK, f"{product}\n")
+    if ns.oracle:
+        from .rewrite import oracle_multiply
+
+        return CommandResult(EXIT_OK, f"{oracle_multiply(left, right)}\n")
+    return CommandResult(EXIT_OK, f"{left * right}\n")
 
 
 def _cmd_deg(ns) -> CommandResult:
+    from .algebra import DEG_BOTTOM
+    from .exprparse import parse_element_expr
+
     algebra = load_algebra(ns.file)
     element = parse_element_expr(ns.expr, algebra)
     degree = element.deg_lex()
@@ -147,12 +131,16 @@ def _cmd_deg(ns) -> CommandResult:
 
 
 def _cmd_iota(ns) -> CommandResult:
+    from .exprparse import parse_element_expr
+
     algebra = load_algebra(ns.file)
     element = parse_element_expr(ns.expr, algebra)
     return CommandResult(EXIT_OK, f"{element.iota()}\n")
 
 
 def _cmd_iso(ns) -> CommandResult:
+    from .classify import is_isomorphic
+
     left = load_algebra(ns.file_a)
     right = load_algebra(ns.file_b)
     witness = is_isomorphic(left, right)
@@ -162,28 +150,41 @@ def _cmd_iso(ns) -> CommandResult:
 
 
 def _cmd_aut(ns) -> CommandResult:
+    from .classify import automorphism_group
+    from .serial import aut_to_dict
+
     algebra = load_algebra(ns.file)
     return CommandResult(EXIT_OK, _json(aut_to_dict(automorphism_group(algebra))))
 
 
 def _cmd_center(ns) -> CommandResult:
+    from .serial import center_to_dict
+    from .structure import center_describe
+
     algebra = load_algebra(ns.file)
     return CommandResult(EXIT_OK, _json(center_to_dict(center_describe(algebra))))
 
 
 def _cmd_gk(ns) -> CommandResult:
+    from .structure import gk_dimension_sequence
+
     algebra = load_algebra(ns.file)
     report = gk_dimension_sequence(algebra, ns.max_n)
     return CommandResult(EXIT_OK, report.to_csv())
 
 
 def _cmd_noeth_witness(ns) -> CommandResult:
+    from .serial import witness_chain_to_dict
+    from .structure import noetherian_witness_check
+
     algebra = load_algebra(ns.file)
     chain = noetherian_witness_check(algebra, ns.depth)
     return CommandResult(EXIT_OK, _json(witness_chain_to_dict(chain)))
 
 
-def _parse_field_flag(text: str) -> FieldSpec:
+def _parse_field_flag(text: str):
+    from .fields import FieldSpec
+
     if text == "Q":
         return FieldSpec()
     if text.startswith("Fp:"):
@@ -196,6 +197,9 @@ def _parse_field_flag(text: str) -> FieldSpec:
 
 
 def _cmd_convert(ns) -> CommandResult:
+    from .classify import GduaPresentation, downup_candidates, from_gdua, to_gdua
+    from .serial import algebra_to_dict, gdua_to_dict, poly_from_list, scalar_from_text
+
     if ns.to_gdua is not None:
         algebra = load_algebra(ns.to_gdua)
         return CommandResult(EXIT_OK, _json(gdua_to_dict(to_gdua(algebra))))

@@ -13,6 +13,10 @@ Parsing builds a small syntax tree and counts the words it expands to
 as soon as a count passes search_cap().  Only a fully parsed, in-bound tree
 is evaluated, with the normal-form arithmetic of `Element`.
 
+Parentheses nest at most MAX_NESTING deep, well inside the interpreter's
+recursion limit (a level costs four frames); a '(' past it is an
+ExprSyntaxError at its position.
+
 Error positions are 0-based character offsets.  Two canonical cases:
 "x**2" raises ExprSyntaxError at position 2 (the second '*'), and "x+"
 raises ExprSyntaxError at position 2 (an atom was expected at end of
@@ -22,7 +26,7 @@ input).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import AlgebraParams, Element
 from .capacity import check_search
@@ -30,13 +34,10 @@ from .errors import CapacityExceeded, DivisionByZero, ExprSyntaxError, LexError
 
 _DIGITS = set("0123456789")
 _OPS = set("+-*/^()")
+MAX_NESTING = 100
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "letter", "number", "op", "end"
-    text: str
-    pos: int
+# kind is "letter", "number", "op" or "end"
+_Token = namedtuple("_Token", "kind text pos")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -86,6 +87,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token], algebra: AlgebraParams):
         self.tokens = tokens
         self.idx = 0
+        self.depth = 0
         self.algebra = algebra
         self.field = algebra.field
         self.letters = dict(zip("xyh", algebra.generators()))
@@ -166,8 +168,12 @@ class _Parser:
         ):
             return 1, Element.from_scalar(self.algebra, self._scalar())
         if self._at_op("("):
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError(f"more than {MAX_NESTING} nested parentheses", token.pos)
             self._advance()
+            self.depth += 1
             result = self.expr()
+            self.depth -= 1
             closing = self._peek()
             if not self._at_op(")"):
                 raise ExprSyntaxError("expected ')'", closing.pos)

@@ -16,11 +16,9 @@ import json
 import re
 
 from .algebra import AlgebraParams
-from .classify import AutGroupDescription, GduaPresentation
 from .errors import SchemaError
 from .fields import FieldSpec, Scalar
 from .poly import Poly
-from .structure import CenterDescription, CenterKind, WitnessChain
 
 _Q_SCALAR = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 _FP_SCALAR = re.compile(r"^\d+$")
@@ -121,6 +119,8 @@ def aut_to_dict(description: AutGroupDescription) -> dict:
 
 
 def center_to_dict(center: CenterDescription) -> dict:
+    from .structure import CenterKind
+
     out: dict = {"kind": center.kind.value}
     if center.ell is not None:
         out["ell"] = center.ell

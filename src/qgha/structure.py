@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import math
 from math import gcd, lcm
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .algebra import AlgebraParams, Element, _acc, _yx_terms
@@ -60,8 +59,7 @@ class StrictnessCheck(NamedTuple):
         return self.sigma_powers_divisible and self.h_not_divisible
 
 
-@dataclass(frozen=True)
-class WitnessChain:
+class WitnessChain(NamedTuple):
     """Auditable evidence for the strictly ascending chain of left ideals
     I_n = sum_{i<=n} H*h*y^i after shifting a fixed point of f to 0."""
 
@@ -74,8 +72,7 @@ class WitnessChain:
         return all(c.passed for c in self.checks)
 
 
-@dataclass(frozen=True)
-class NoetherianReport:
+class NoetherianReport(NamedTuple):
     verdict: bool
     reason: NoetherianReason
     witness: Optional[WitnessChain] = None
@@ -183,8 +180,7 @@ class CenterKind(enum.Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class CenterDescription:
+class CenterDescription(NamedTuple):
     kind: CenterKind
     ell: Optional[int] = None
     a: Optional[Poly] = None
@@ -240,8 +236,7 @@ def centralizer_of_h_contains(element: Element) -> bool:
     return all(i == k for (i, k) in element.terms)
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     """Exact dimensions of V^n for V = span{1, x, y, h}."""
 
     dims: tuple[int, ...]

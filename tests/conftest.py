@@ -1,7 +1,9 @@
+import os
 import random
 
 import pytest
 
+import qgha
 from qgha import AlgebraParams, Element, FieldSpec, Poly
 
 QQ = FieldSpec()
@@ -62,3 +64,13 @@ def random_element(rng, alg, max_support=3, max_exp=3, max_deg=3, nonzero=False)
 
 def rng_for(name):
     return random.Random(f"qgha-{name}")
+
+
+def child_env():
+    """Environment for a child interpreter that imports this qgha checkout,
+    with the capacity bounds at their defaults."""
+    src = os.path.dirname(os.path.dirname(qgha.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("QGHA_CAPACITY", None)
+    return env

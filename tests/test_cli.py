@@ -1,6 +1,5 @@
 import inspect
 import json
-import os
 import subprocess
 import sys
 import time
@@ -11,6 +10,8 @@ import qgha
 import qgha.structure
 from qgha import Poly, errors
 from qgha.cli import main, run
+
+from conftest import child_env
 
 
 def write_algebra(tmp_path, name, data):
@@ -432,13 +433,79 @@ def test_main_writes_streams(q2_h2_h, capsys):
 
 
 def test_python_dash_m_matches_run(q1_h2_h):
-    src = os.path.dirname(os.path.dirname(qgha.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argv = ["analyze", q1_h2_h]
     proc = subprocess.run(
-        [sys.executable, "-m", "qgha", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "qgha", *argv], capture_output=True, text=True, env=child_env()
     )
     expected = run(argv)
     assert proc.returncode == expected.exit_code == 0
     assert proc.stdout == expected.payload
+
+
+def test_deep_nesting_is_an_input_error(q1_h2_h):
+    # 2000 levels used to end in a RecursionError traceback and exit 1
+    nested = "(" * 2000 + "x" + ")" * 2000
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgha", "deg", q1_h2_h, nested],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: more than 100 nested parentheses (at position 100)\n"
+    start = time.perf_counter()
+    result = run(["deg", q1_h2_h, "(" * 10**5 + "x" + ")" * 10**5])
+    assert time.perf_counter() - start < 1.0
+    assert (result.exit_code, result.payload) == (2, "")
+    assert result.error == "error: more than 100 nested parentheses (at position 100)"
+
+
+# Runs one subcommand through main() in a fresh interpreter, then prints the
+# names of the loaded modules on a last line of its own.
+_IMPORT_PROBE = (
+    "import sys\n"
+    "from qgha.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('\\n' + ' '.join(sorted(sys.modules)))\n"
+    "sys.exit(code)\n"
+)
+_NOT_FOR_EXPRESSIONS = {"qgha.classify", "qgha.structure", "qgha.rewrite"}
+_NOT_FOR_STRUCTURE = {"qgha.classify", "qgha.exprparse", "qgha.rewrite"}
+_NOT_FOR_CLASSIFY = {"qgha.structure", "qgha.exprparse", "qgha.rewrite"}
+
+
+@pytest.mark.parametrize(
+    "argv, needed, unused",
+    [
+        (["deg", "@q2", "x*y + h"], {"qgha.exprparse"}, _NOT_FOR_EXPRESSIONS),
+        (["mul", "@q2", "y", "x"], {"qgha.exprparse"}, _NOT_FOR_EXPRESSIONS),
+        (["iota", "@q2", "x*h"], {"qgha.exprparse"}, _NOT_FOR_EXPRESSIONS),
+        (
+            ["mul", "@q2", "y", "x", "--oracle"],
+            {"qgha.exprparse", "qgha.rewrite"},
+            {"qgha.classify", "qgha.structure"},
+        ),
+        (["analyze", "@q1"], {"qgha.structure"}, _NOT_FOR_STRUCTURE),
+        (["center", "@q2"], {"qgha.structure"}, _NOT_FOR_STRUCTURE),
+        (["gk", "@q1", "--max-n", "2"], {"qgha.structure"}, _NOT_FOR_STRUCTURE),
+        (["noeth-witness", "@q1"], {"qgha.structure"}, _NOT_FOR_STRUCTURE),
+        (["iso", "@q1", "@q2"], {"qgha.classify"}, _NOT_FOR_CLASSIFY),
+        (["aut", "@q2"], {"qgha.classify"}, _NOT_FOR_CLASSIFY),
+        (["convert", "--to-gdua", "@lin"], {"qgha.classify"}, _NOT_FOR_CLASSIFY),
+        (["convert", "--from-downup", "2", "-1", "0"], {"qgha.classify"}, _NOT_FOR_CLASSIFY),
+    ],
+    ids=[
+        "deg", "mul", "iota", "mul-oracle", "analyze", "center", "gk", "noeth-witness",
+        "iso", "aut", "convert-to-gdua", "convert-from-downup",
+    ],
+)
+def test_subcommand_imports_only_its_modules(argv, needed, unused, q1_h2_h, q2_h2_h, linear):
+    files = {"@q1": q1_h2_h, "@q2": q2_h2_h, "@lin": linear}
+    argv = [files.get(a, a) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert needed <= loaded
+    assert not loaded & unused, sorted(loaded & unused)
+    assert "dataclasses" not in loaded

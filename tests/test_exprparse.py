@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgha import Element, FreeWord, Poly, parse_element_expr, reduce_word
+from qgha.exprparse import MAX_NESTING
 from qgha.errors import (
     CapacityExceeded,
     DivisionByZero,
@@ -98,6 +99,31 @@ def test_oversized_integer_literal(A):
         with pytest.raises(ExprSyntaxError, match="too long") as info:
             parse_element_expr(text, A)
         assert info.value.position == pos
+
+
+@pytest.mark.parametrize("levels", [2000, 10**5])
+def test_deep_nesting_is_a_syntax_error(A, levels):
+    # past the bound the parser stops at the first '(' too many instead of
+    # running into the interpreter's recursion limit
+    text = "(" * levels + "x" + ")" * levels
+    start = time.perf_counter()
+    with pytest.raises(ExprSyntaxError, match="nested parentheses") as info:
+        parse_element_expr(text, A)
+    assert time.perf_counter() - start < 1.0
+    assert info.value.position == MAX_NESTING
+
+
+def test_nesting_up_to_the_bound_parses(A):
+    x, y, h = A.generators()
+    deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_element_expr(deepest, A) == x
+    with pytest.raises(ExprSyntaxError):
+        parse_element_expr("(" + deepest + ")", A)
+    # a power and a product at every level keep the same bound
+    text = "y"
+    for _ in range(MAX_NESTING):
+        text = f"(h*{text})^1"
+    assert parse_element_expr(text, A) == h**MAX_NESTING * y
 
 
 def test_lex_error(A):
