@@ -24,7 +24,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .fields import FieldSpec, Scalar
-from .poly import NEG_INF, Poly, sigma_pow
+from .poly import NEG_INF, Poly, _sigma, sigma_pow
 
 DEG_BOTTOM = (NEG_INF, NEG_INF)
 
@@ -334,15 +334,6 @@ def yx_expand(b: int, c: int, algebra: AlgebraParams) -> Element:
     if b < 0 or c < 0:
         raise ValueError("exponents must be nonnegative")
     return Element(algebra, dict(_yx_terms(algebra, b, c)))
-
-
-def _sigma(f: Poly, orbit: list, s: int) -> Poly:
-    """sigma^s(orbit[0]), extending orbit = [p, sigma(p), ...] as needed."""
-    if orbit[0].degree() < 1:
-        return orbit[0]  # sigma fixes constants
-    while len(orbit) <= s:
-        orbit.append(orbit[-1].compose(f))
-    return orbit[s]
 
 
 def _multiply(a: Element, b: Element) -> Element:

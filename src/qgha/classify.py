@@ -2,10 +2,14 @@
 automorphism-group computation and the (generalized) down-up conversions.
 
 For q != 0 and deg f >= 2 every isomorphism is a composite of three moves:
-a shift of h, a rescaling of h, and a rescaling of g.  The decider and the
-automorphism group both solve f'(u*h + v) = u*f(h) + v for the affine map
-psi(h) = u*h + v with one solver, `_affine_maps`; the decider then finds c
-with g' = c * (g o psi^{-1}), and automorphisms are the case f' = f.
+a shift of h, a rescaling of h, and a rescaling of g.  Together they form
+one witness (u, v, c): the affine map psi(h) = u*h + v and the rescaling c,
+with f' = psi o f o psi^{-1} and g' = c * (g o psi^{-1}).  `apply_witness`
+is the one place a witness acts, and the three transforms are named
+witnesses: (1, alpha, 1), (lam, 0, 1) and (1, 0, lam*mu).  `_witnesses`
+lists every witness from one presentation to another, with psi solved by
+`_affine_maps`: the decider returns the first, and the automorphisms are
+the witnesses from a presentation to itself.
 """
 
 from __future__ import annotations
@@ -24,42 +28,23 @@ from .errors import (
     ZeroScale,
 )
 from .fields import Scalar, nth_roots
-from .poly import Poly, affine_conjugate, poly_roots
+from .poly import Poly, _pull_back, affine_conjugate, poly_roots
 
 
 def transform_type_I(algebra: AlgebraParams, alpha) -> AlgebraParams:
     """Shift the h coordinate: (q, f, g) -> (q, f(h-alpha)+alpha, g(h-alpha))."""
-    field = algebra.field
-    alpha = field.scalar(alpha)
-    shifted = Poly([-alpha, field.one], field)
-    return AlgebraParams(
-        field,
-        algebra.q,
-        algebra.f.compose(shifted) + Poly.const(alpha),
-        algebra.g.compose(shifted),
-    )
+    return apply_witness(algebra, IsoWitness(1, alpha, 1))
 
 
 def transform_type_II(algebra: AlgebraParams, lam) -> AlgebraParams:
     """Rescale the h coordinate: (q, f, g) -> (q, lam*f(h/lam), g(h/lam))."""
-    field = algebra.field
-    lam = field.scalar(lam)
-    if lam.is_zero():
-        raise ZeroScale("lambda must be nonzero")
-    inner = Poly([field.zero, lam.inv()], field)
-    return AlgebraParams(
-        field, algebra.q, lam * algebra.f.compose(inner), algebra.g.compose(inner)
-    )
+    return apply_witness(algebra, IsoWitness(lam, 0, 1))
 
 
 def transform_type_III(algebra: AlgebraParams, lam, mu) -> AlgebraParams:
     """Rescale the commutator target: (q, f, g) -> (q, f, lam*mu*g)."""
-    field = algebra.field
-    lam = field.scalar(lam)
-    mu = field.scalar(mu)
-    if lam.is_zero() or mu.is_zero():
-        raise ZeroScale("lambda and mu must be nonzero")
-    return AlgebraParams(field, algebra.q, algebra.f, lam * mu * algebra.g)
+    lam_mu = algebra.field.scalar(lam) * algebra.field.scalar(mu)
+    return apply_witness(algebra, IsoWitness(1, 0, lam_mu))
 
 
 class IsoWitness(NamedTuple):
@@ -100,15 +85,15 @@ class IsoWitness(NamedTuple):
 
 
 def apply_witness(algebra: AlgebraParams, witness: IsoWitness) -> AlgebraParams:
-    """Push a presentation through a witness; lands on the isomorphic target."""
+    """Push a presentation through a witness; lands on the isomorphic target.
+    Raises ZeroScale when u or c is zero, as the map is then no isomorphism.
+    """
     field = algebra.field
-    u, v, c = witness.u, witness.v, witness.c
-    psi_inv = Poly([-v / u, u.inv()], field)
+    u, v, c = (field.scalar(s) for s in witness)
+    if u.is_zero() or c.is_zero():
+        raise ZeroScale("a witness needs nonzero u and c")
     return AlgebraParams(
-        field,
-        algebra.q,
-        affine_conjugate(algebra.f, u, v),
-        c * algebra.g.compose(psi_inv),
+        field, algebra.q, affine_conjugate(algebra.f, u, v), c * _pull_back(algebra.g, u, v)
     )
 
 
@@ -140,14 +125,30 @@ def _affine_maps(f: Poly, f2: Poly):
                 yield u, v
 
 
+def _witnesses(a: AlgebraParams, b: AlgebraParams):
+    """Every IsoWitness from a to b in ascending (u, v) order, for
+    presentations with the same q, deg f >= 2 and deg g.
+
+    The affine maps psi(h) = u*h + v with f' o psi = psi o f come from
+    `_affine_maps`; each whose pull-back of g rescales onto g' gives one.
+    """
+    for u, v in _affine_maps(a.f, b.f):
+        if a.g.is_zero():
+            yield IsoWitness(u, v, a.field.one)
+            continue
+        pulled = _pull_back(a.g, u, v)
+        c = b.g.lead() / pulled.lead()
+        if c * pulled == b.g:
+            yield IsoWitness(u, v, c)
+
+
 def is_isomorphic(a: AlgebraParams, b: AlgebraParams):
     """Decide isomorphism for q != 0 and deg f >= 2; returns a verified
     IsoWitness or None.
 
     q, deg f and deg g are isomorphism invariants in this regime, so
-    mismatches short-circuit.  The affine maps psi(h) = u*h + v with
-    f' o psi = psi o f come from `_affine_maps` in ascending (u, v) order;
-    the first whose pull-back of g rescales onto g' gives the witness.
+    mismatches short-circuit; otherwise the witness is the first of
+    `_witnesses(a, b)`.
     """
     if a.field != b.field:
         raise FieldMismatch("presentations over different fields")
@@ -155,21 +156,9 @@ def is_isomorphic(a: AlgebraParams, b: AlgebraParams):
         raise UnsupportedRegime(
             "the decision procedure covers q != 0 and deg f >= 2 only"
         )
-    if a.q != b.q:
+    if a.q != b.q or b.f.degree() != a.f.degree() or b.g.degree() != a.g.degree():
         return None
-    n = a.f.degree()
-    if b.f.degree() != n or a.g.degree() != b.g.degree():
-        return None
-    field = a.field
-    for u, v in _affine_maps(a.f, b.f):
-        if a.g.is_zero():
-            return IsoWitness(u, v, field.one)
-        psi_inv = Poly([-v / u, u.inv()], field)
-        pulled = a.g.compose(psi_inv)
-        c = b.g.lead() / pulled.lead()
-        if c * pulled == b.g:
-            return IsoWitness(u, v, c)
-    return None
+    return next(_witnesses(a, b), None)
 
 
 class AutRegime(enum.Enum):
@@ -202,25 +191,19 @@ class AutGroupDescription(NamedTuple):
 def automorphism_group(algebra: AlgebraParams) -> AutGroupDescription:
     """Compute the automorphism group for deg f >= 2 and q != 0.
 
-    The finite part is the set of affine maps (a, b) with
-    f(a*h + b) = a*f(h) + b, solved by `_affine_maps(f, f)` in every
-    characteristic, that also satisfy g(a*h + b) = a^(deg g)*g when g != 0.
+    The finite part is the (u, v) of every witness from the algebra to
+    itself (`_witnesses`), in every characteristic; its c is forced to
+    u^(deg g), so g(u*h + v) = u^(deg g)*g.
     For char = 0 or char > deg f it is cyclic of order dividing deg f - 1;
     for 0 < char <= deg f (`char_caveat`) it may be non-abelian.
     """
-    f, g, field = algebra.f, algebra.g, algebra.field
-    n = f.degree()
+    n = algebra.f.degree()
     if n < 2 or algebra.q.is_zero():
         raise PreconditionViolated(
             "automorphism description needs deg f >= 2 and q != 0"
         )
-    regime = AutRegime.G_ZERO if g.is_zero() else AutRegime.G_NONZERO
-    finite = [
-        (a, b)
-        for a, b in _affine_maps(f, f)
-        if regime is AutRegime.G_ZERO
-        or g.compose(Poly([b, a], field)) == a ** g.degree() * g
-    ]
+    regime = AutRegime.G_ZERO if algebra.g.is_zero() else AutRegime.G_NONZERO
+    finite = [(w.u, w.v) for w in _witnesses(algebra, algebra)]
     abelian = all(
         AutGroupDescription.compose(p1, p2) == AutGroupDescription.compose(p2, p1)
         for idx, p1 in enumerate(finite)
@@ -231,7 +214,7 @@ def automorphism_group(algebra: AlgebraParams) -> AutGroupDescription:
         finite_part=tuple(finite),
         abelian=abelian,
         regime=regime,
-        char_caveat=0 < field.char <= n,
+        char_caveat=0 < algebra.char <= n,
     )
 
 

@@ -18,7 +18,8 @@ Exit codes: 0 success, 1 usage, 2 input parsing, 3 precondition or regime,
 any bare ValueError, which no input error raises);
 each QghaError subclass declares its own as `exit_code`.
 Identical inputs produce byte-identical outputs.  The QGHA_CAPACITY
-environment variable overrides the degree/search bound.
+environment variable overrides the degree/search bound; it is read once, at
+start-up.
 
 Start-up is part of every call's cost, so each handler imports the modules it
 uses: `deg` never loads the classifier, the growth code or the oracle.

@@ -463,6 +463,15 @@ def _mono_str(c: Scalar, j: int) -> str:
     return hpart if c.is_one() else f"{c}*{hpart}"
 
 
+def _sigma(f: Poly, orbit: list, s: int) -> Poly:
+    """sigma^s(orbit[0]), extending orbit = [p, sigma(p), ...] as needed."""
+    if orbit[0].degree() < 1:
+        return orbit[0]  # sigma fixes constants
+    while len(orbit) <= s:
+        orbit.append(orbit[-1].compose(f))
+    return orbit[s]
+
+
 def sigma_pow(f: Poly, k: int, p: Poly) -> Poly:
     """k-fold substitution of f: p(h) -> p(f(...f(h)...)).
 
@@ -473,11 +482,12 @@ def sigma_pow(f: Poly, k: int, p: Poly) -> Poly:
     if k < 0:
         raise ValueError("k must be nonnegative")
     f._check(p)
-    result = p
-    # sigma fixes constants
-    for _ in range(k if p.degree() >= 1 else 0):
-        result = result.compose(f)
-    return result
+    return _sigma(f, [p], k)
+
+
+def _pull_back(g: Poly, u: Scalar, v: Scalar) -> Poly:
+    """g o psi^{-1} for the affine substitution psi(h) = u*h + v, u != 0."""
+    return g.compose(Poly([-v / u, u.inv()], g.field))
 
 
 def affine_conjugate(f: Poly, u: Scalar, v: Scalar) -> Poly:
@@ -487,8 +497,7 @@ def affine_conjugate(f: Poly, u: Scalar, v: Scalar) -> Poly:
     v = field.scalar(v)
     if u.is_zero():
         raise ZeroScale("u must be nonzero")
-    psi_inv = Poly([-v / u, u.inv()], field)
-    return u * f.compose(psi_inv) + Poly.const(v)
+    return u * _pull_back(f, u, v) + Poly.const(v)
 
 
 def _divisors(n: int) -> list[int]:
@@ -538,8 +547,8 @@ def poly_roots(p: Poly) -> set[Scalar]:
     """All ground-field roots of p != 0.
 
     A linear p has the one root -c0/c1.  Otherwise, over Q: rational-root
-    theorem on the primitive integer form; over F_p: exhaustive evaluation,
-    guarded by the search capacity bound.
+    theorem on the primitive integer form; over F_p: exhaustive evaluation
+    of the residues, guarded by the search capacity bound.
     """
     if p.is_zero():
         raise ZeroPolynomial("root finding needs a nonzero polynomial")
@@ -548,5 +557,13 @@ def poly_roots(p: Poly) -> set[Scalar]:
         return {-p.coeff(0) / p.coeff(1)}
     if field.is_rationals:
         return _rational_roots(p)
-    check_search(field.p, f"root search in F_{field.p}")
-    return {s for s in field.elements() if p.evaluate(s).is_zero()}
+    mod = field.p
+    check_search(mod, f"root search in F_{mod}")
+    roots = set()
+    for r in range(mod):
+        acc = 0
+        for c in reversed(p._nums):
+            acc = (acc * r + c) % mod
+        if not acc:
+            roots.add(Scalar(r, field))
+    return roots

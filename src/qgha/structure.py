@@ -16,7 +16,7 @@ from .algebra import AlgebraParams, Element, _acc, _yx_terms
 from .capacity import check_search
 from .errors import InternalError, NoFixedPointInField, PreconditionViolated, WrongDegree
 from .fields import Scalar, root_of_unity_order
-from .poly import Poly, poly_roots
+from .poly import Poly, _sigma, affine_conjugate, poly_roots
 
 
 class DomainReport(NamedTuple):
@@ -101,7 +101,7 @@ def noetherian_witness_check(algebra: AlgebraParams, depth: int) -> WitnessChain
             f"f - h has no root over {field}; a base change would be required"
         )
     beta = min(fixed_points, key=lambda s: s.sort_key())
-    shifted_f = f.compose(Poly([beta, field.one], field)) - Poly.const(beta)
+    shifted_f = affine_conjugate(f, field.one, -beta)
     divisible = shifted_f.evaluate(field.zero).is_zero()
     h_free = not (Poly.h(field) % shifted_f).is_zero()
     checks = tuple(StrictnessCheck(n, divisible, h_free) for n in range(depth + 1))
@@ -273,9 +273,7 @@ def _times_generator(algebra: AlgebraParams, terms: dict, gen: str, sigma_h: lis
     out: dict[tuple[int, int], Poly] = {}
     if gen == "h":
         for (i, k), p in terms.items():
-            while len(sigma_h) <= k:
-                sigma_h.append(sigma_h[-1].compose(f))
-            out[(i, k)] = p * sigma_h[k]
+            out[(i, k)] = p * _sigma(f, sigma_h, k)
     else:
         for (i, k), p in terms.items():
             for (s, t), w in _yx_terms(algebra, k, 1).items():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import qgha
+from qgha import capacity
 from qgha import AlgebraParams, Element, FieldSpec, Poly
 
 QQ = FieldSpec()
@@ -16,6 +17,17 @@ def poly(field, *coeffs):
 
 def algebra(field, q, f_coeffs, g_coeffs):
     return AlgebraParams(field, q, Poly(f_coeffs, field), Poly(g_coeffs, field))
+
+
+@pytest.fixture
+def set_capacity(monkeypatch):
+    """Set both capacity bounds, as QGHA_CAPACITY does when qgha starts."""
+
+    def set_bounds(bound):
+        monkeypatch.setattr(capacity, "DEGREE_CAP", bound)
+        monkeypatch.setattr(capacity, "SEARCH_CAP", bound)
+
+    return set_bounds
 
 
 @pytest.fixture

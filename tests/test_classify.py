@@ -7,6 +7,7 @@ from qgha import (
     AutRegime,
     FieldSpec,
     GduaPresentation,
+    IsoWitness,
     Poly,
     apply_witness,
     automorphism_group,
@@ -52,6 +53,15 @@ def test_transform_type_II():
     assert transform_type_II(linear, QQ.scalar(5)).f == Poly.h(QQ)
     with pytest.raises(ZeroScale):
         transform_type_II(A, QQ.zero)
+
+
+def test_apply_witness_rejects_zero_scales():
+    # u = 0 used to fail in -v/u, and c = 0 returned g = 0: neither is an isomorphism
+    A = algebra(QQ, 2, [0, 0, 1], [0, 1])
+    with pytest.raises(ZeroScale):
+        apply_witness(A, IsoWitness(QQ.zero, QQ.one, QQ.one))
+    with pytest.raises(ZeroScale):
+        apply_witness(A, IsoWitness(QQ.one, QQ.zero, QQ.zero))
 
 
 def test_transform_type_III():
@@ -309,13 +319,13 @@ def test_downup_field_mismatch():
         downup_candidates(QQ.one, F7.one, QQ.zero)
 
 
-def test_aut_char_caveat_capacity(monkeypatch):
+def test_aut_char_caveat_capacity(set_capacity):
     # the only exhaustive step left is a root search over F_p, bounded by p
     A = AlgebraParams(F3, F3.scalar(2), Poly([0, 0, 0, 1], F3), Poly([0, 2, 0, 1], F3))
     from qgha.errors import CapacityExceeded
 
-    monkeypatch.setenv("QGHA_CAPACITY", "3")
+    set_capacity(3)
     assert len(automorphism_group(A).finite_part) == 6
-    monkeypatch.setenv("QGHA_CAPACITY", "2")
+    set_capacity(2)
     with pytest.raises(CapacityExceeded, match="root search in F_3"):
         automorphism_group(A)

@@ -340,9 +340,29 @@ def test_stray_value_error_is_an_internal_error(q1_h2_h, monkeypatch):
     assert result.error == "error: internal error: boom"
 
 
-def test_exit_code_capacity(q1_h2_h, monkeypatch):
-    monkeypatch.setenv("QGHA_CAPACITY", "8")
+def test_exit_code_capacity(q1_h2_h, set_capacity):
+    set_capacity(8)
     assert run(["gk", q1_h2_h, "--max-n", "20"]).exit_code == 4
+
+
+@pytest.mark.parametrize(
+    "value, argv, error",
+    [
+        ("8", ["gk", "@", "--max-n", "20"], "growth horizon of size 20 exceeds capacity bound 8"),
+        # a non-integer or a value <= 0 keeps the default bounds
+        ("abc", ["deg", "@", "(x+y+h)^9"], "expression expansion of size 19683 exceeds capacity bound 10000"),
+        ("0", ["deg", "@", "(x+y+h)^9"], "expression expansion of size 19683 exceeds capacity bound 10000"),
+    ],
+    ids=["8", "abc", "0"],
+)
+def test_capacity_env_read_at_start_up(q1_h2_h, value, argv, error):
+    env = dict(child_env(), QGHA_CAPACITY=value)
+    argv = [q1_h2_h if a == "@" else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgha", *argv], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == f"error: {error}\n"
 
 
 def test_exit_code_capacity_message(q1_h2_h):

@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from qgha import capacity
 from qgha.cli import run
 
 CORPUS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "corpus")
@@ -34,7 +35,8 @@ def test_corpus_has_recorded_outputs():
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=[entry["id"] for entry in ENTRIES])
 def test_cli_corpus_output(entry, monkeypatch):
-    monkeypatch.delenv("QGHA_CAPACITY", raising=False)
+    monkeypatch.setattr(capacity, "DEGREE_CAP", capacity.DEFAULT_DEGREE_CAP)
+    monkeypatch.setattr(capacity, "SEARCH_CAP", capacity.DEFAULT_SEARCH_CAP)
     argv = [
         os.path.join(CORPUS, arg[1:]) if arg.startswith("@") else arg
         for arg in entry["argv"]

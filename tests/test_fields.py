@@ -105,8 +105,8 @@ def test_nth_roots_f7():
     assert nth_roots(3, F7.one) == {F7.scalar(u) for u in expected}
 
 
-def test_search_capacity_guard(monkeypatch):
-    monkeypatch.setenv("QGHA_CAPACITY", "10")
+def test_search_capacity_guard(set_capacity):
+    set_capacity(10)
     F13 = FieldSpec(13)
     with pytest.raises(CapacityExceeded):
         root_of_unity_order(F13.scalar(2))

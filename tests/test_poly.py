@@ -147,8 +147,8 @@ def test_derivative():
     assert h7.derivative().is_zero()
 
 
-def test_degree_capacity_guard(monkeypatch):
-    monkeypatch.setenv("QGHA_CAPACITY", "100")
+def test_degree_capacity_guard(set_capacity):
+    set_capacity(100)
     big = Poly([0] * 60 + [1], QQ)
     with pytest.raises(CapacityExceeded):
         big * big
