@@ -12,6 +12,8 @@ meaning  sum_{i,k} x^i p_ik(h) y^k.  Straightening rests on
     y * x^c    = q^c x^c y + x^{c-1} Gamma_c(h),
 
 where sigma substitutes f for h and Gamma_c = sum_{j<c} q^{c-1-j} sigma^j(g).
+Products straighten in `_times`, which `Element.__mul__` and the growth
+experiment (with right operands and sigma-orbits kept per run) both call.
 """
 
 from __future__ import annotations
@@ -172,7 +174,9 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check(other)
-            return _multiply(self, other)
+            # sigma^s(p) recurs across straightening terms: one orbit per operand term
+            right = [(i2, k2, [p2]) for (i2, k2), p2 in other.terms.items()]
+            return Element(self.algebra, _times(self.algebra, self.terms, right))
         if isinstance(other, (Scalar, int)):
             return self.scale(other)
         return NotImplemented
@@ -336,18 +340,20 @@ def yx_expand(b: int, c: int, algebra: AlgebraParams) -> Element:
     return Element(algebra, dict(_yx_terms(algebra, b, c)))
 
 
-def _multiply(a: Element, b: Element) -> Element:
-    algebra = a.algebra
+def _times(algebra: AlgebraParams, terms: dict, right: list) -> dict:
+    """Terms map of terms * right, nonzero polynomials only.
+
+    `right` lists the right operand's terms as (i2, k2, orbit), orbit =
+    [p2, sigma(p2), ...], extended in place so callers may keep it.
+    """
     f = algebra.f
     out: dict[tuple[int, int], Poly] = {}
-    # sigma^s(p) recurs across straightening terms: one orbit per operand term
-    right = [(i2, k2, [p2]) for (i2, k2), p2 in b.terms.items()]
-    for (i1, k1), p1 in a.terms.items():
+    for (i1, k1), p1 in terms.items():
         left = [p1]
         for i2, k2, orbit2 in right:
             for (s, t), w in _yx_terms(algebra, k1, i2).items():
                 _acc(out, (i1 + s, t + k2), _sigma(f, left, s) * w * _sigma(f, orbit2, t))
-    return Element(algebra, out)
+    return {key: p for key, p in out.items() if not p.is_zero()}
 
 
 def leading_term_product(m1, m2, algebra: AlgebraParams):

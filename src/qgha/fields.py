@@ -276,7 +276,7 @@ def nth_roots(m: int, c: Scalar) -> set[Scalar]:
 
     Over Q this is exact integer m-th root extraction on numerator and
     denominator (for even m both signs are returned when a root exists);
-    over F_p the solutions are found by exhaustive evaluation.
+    over F_p they are the roots of u^m - c.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -302,6 +302,6 @@ def nth_roots(m: int, c: Scalar) -> set[Scalar]:
             return set()
         root = Fraction(num_root, den_root)
         return {field.scalar(root), field.scalar(-root)}
-    check_search(field.p, f"root search in F_{field.p}")
-    p = field.p
-    return {Scalar(u, field) for u in range(1, p) if pow(u, m, p) == c.value}
+    from .poly import Poly, poly_roots  # poly imports this module
+
+    return poly_roots(Poly._make([-c.value] + [0] * (m - 1) + [1], 1, field))

@@ -303,7 +303,7 @@ class Poly:
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: Poly) -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     def __add__(self, other):
@@ -332,6 +332,11 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check(other)
+            # products by the constant 1 are common in straightening
+            if self._nums == (1,) and self._den == 1:
+                return other
+            if other._nums == (1,) and other._den == 1:
+                return self
             if self.is_zero() or other.is_zero():
                 return Poly.zero(self.field)
             check_degree(self.degree() + other.degree())
@@ -465,9 +470,9 @@ def _mono_str(c: Scalar, j: int) -> str:
 
 def _sigma(f: Poly, orbit: list, s: int) -> Poly:
     """sigma^s(orbit[0]), extending orbit = [p, sigma(p), ...] as needed."""
-    if orbit[0].degree() < 1:
-        return orbit[0]  # sigma fixes constants
     while len(orbit) <= s:
+        if orbit[0].degree() < 1:
+            return orbit[0]  # sigma fixes constants
         orbit.append(orbit[-1].compose(f))
     return orbit[s]
 

@@ -12,11 +12,11 @@ import math
 from math import gcd, lcm
 from typing import NamedTuple, Optional
 
-from .algebra import AlgebraParams, Element, _acc, _yx_terms
+from .algebra import AlgebraParams, Element, _times
 from .capacity import check_search
 from .errors import InternalError, NoFixedPointInField, PreconditionViolated, WrongDegree
 from .fields import Scalar, root_of_unity_order
-from .poly import Poly, _sigma, affine_conjugate, poly_roots
+from .poly import Poly, affine_conjugate, poly_roots
 
 
 class DomainReport(NamedTuple):
@@ -259,28 +259,6 @@ class GrowthReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _times_generator(algebra: AlgebraParams, terms: dict, gen: str, sigma_h: list) -> dict:
-    """Terms map of (sum x^i p_ik(h) y^k) * gen for one generator gen in "xyh".
-
-    y^k * y = y^(k+1) shifts k; y^k * h = sigma^k(h) * y^k, with
-    sigma_h[k] = sigma^k(h) extended in the caller's list; y^k * x comes
-    from the memoized normal form sum x^s w y^t of y^k x (s <= 1), and
-    x^i p x^s = x^(i+s) sigma^s(p).
-    """
-    if gen == "y":
-        return {(i, k + 1): p for (i, k), p in terms.items()}
-    f = algebra.f
-    out: dict[tuple[int, int], Poly] = {}
-    if gen == "h":
-        for (i, k), p in terms.items():
-            out[(i, k)] = p * _sigma(f, sigma_h, k)
-    else:
-        for (i, k), p in terms.items():
-            for (s, t), w in _yx_terms(algebra, k, 1).items():
-                _acc(out, (i + s, t), (p.compose(f) if s else p) * w)
-    return {key: p for key, p in out.items() if not p.is_zero()}
-
-
 def _integer_row(terms: dict) -> dict:
     """Coordinates of a terms map on the normal monomials x^i h^j y^k, times
     the lcm of its denominators (1 over F_p, where they are residues).
@@ -303,9 +281,9 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
     Maintains an echelonized basis in coordinates indexed by the normal
     monomials x^i h^j y^k, ordered by (i+j+k, then lex (i, j, k)) with the
     largest monomial as pivot.  Each step right-multiplies the previous
-    step's novel products by each generator directly on the normal form
-    (see `_times_generator`), reduces the integer coordinate row against the
-    echelon and inserts what is new, so the dimensions are deterministic.
+    step's novel products by each generator in `_times`, keeping each
+    generator's sigma-orbit for the run, reduces the integer coordinate row
+    against the echelon and inserts what is new, so dims are deterministic.
     Rows are scaled freely, which leaves their span unchanged: over Q they
     are primitive integer vectors reduced by cross-multiplying, over F_p
     residues with pivot 1.
@@ -353,16 +331,18 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
                     row = {m: v // content for m, v in row.items()}
         return False
 
-    unit = {(0, 0): Poly.one(field)}
+    one = Poly.one(field)
+    unit = {(0, 0): one}
     reduce_insert(_integer_row(unit))
     dims = [len(echelon)]
     frontier = [unit]
-    sigma_h = [Poly.h(field)]
+    # right operands x, y, h as (i2, k2, orbit); the h orbit grows to sigma^k(h)
+    gens = ([(1, 0, [one])], [(0, 1, [one])], [(0, 0, [Poly.h(field)])])
     for _ in range(max_n):
         new_frontier = []
         for terms in frontier:
-            for gen in "xyh":
-                candidate = _times_generator(algebra, terms, gen, sigma_h)
+            for right in gens:
+                candidate = _times(algebra, terms, right)
                 if reduce_insert(_integer_row(candidate)):
                     new_frontier.append(candidate)
         dims.append(len(echelon))

@@ -105,6 +105,21 @@ def test_nth_roots_f7():
     assert nth_roots(3, F7.one) == {F7.scalar(u) for u in expected}
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_nth_roots_match_enumeration(p):
+    F = FieldSpec(p)
+    for m in range(1, 5):
+        for c in F.elements():
+            if not c.is_zero():
+                assert nth_roots(m, c) == {u for u in F.elements() if u**m == c}
+
+
+def test_nth_roots_linear_needs_no_search():
+    # u^1 = c has the one root c, however large the field
+    big = FieldSpec(1000003)
+    assert nth_roots(1, big.scalar(5)) == {big.scalar(5)}
+
+
 def test_search_capacity_guard(set_capacity):
     set_capacity(10)
     F13 = FieldSpec(13)

@@ -39,6 +39,22 @@ def test_ring_basics():
         P(1) + Poly([1], F5)
 
 
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_product_by_one(field):
+    one = Poly.one(field)
+    for coeffs in ([Fraction(3, 4), 0, -2], [5], [0, 1], [Fraction(-1, 6)]):
+        p = Poly(coeffs, field)
+        for product in (p * one, one * p):
+            assert product == p
+            assert (product._nums, product._den) == (p._nums, p._den)
+    assert Poly.zero(field) * one == Poly.zero(field) == one * Poly.zero(field)
+    assert one * one == one
+    with pytest.raises(FieldMismatch):
+        Poly.one(F7) * Poly.h(QQ)
+    with pytest.raises(FieldMismatch):
+        Poly.h(QQ) * Poly.one(F7)
+
+
 def test_trailing_zeros_trimmed():
     assert P(1, 2, 0, 0) == P(1, 2)
     assert P(0, 0).is_zero()

@@ -25,6 +25,7 @@ from qgha import (
     sigma_pow,
     solve_sigma_q,
 )
+from qgha.algebra import _times
 from qgha.capacity import search_cap
 from qgha.errors import (
     CapacityExceeded,
@@ -32,7 +33,7 @@ from qgha.errors import (
     PreconditionViolated,
     WrongDegree,
 )
-from qgha.structure import _integer_row, _times_generator
+from qgha.structure import _integer_row
 
 from conftest import QQ, F7, algebra, random_element, random_poly, random_scalar, rng_for
 
@@ -439,12 +440,14 @@ _RIGHT_MULTIPLY_ALGEBRAS = [
 def test_times_generator_matches_element_product(seed, index):
     A = _RIGHT_MULTIPLY_ALGEBRAS[index]
     rng = random.Random(seed)
-    # one sigma^k(h) list serves both elements, as it does across a gk run
-    sigma_h = [Poly.h(A.field)]
+    gens = A.generators()
+    # one right operand per generator, orbits kept across both elements as
+    # across a gk run
+    rights = [[(i, k, [p]) for (i, k), p in gen.terms.items()] for gen in gens]
     for _ in range(2):
         e = random_element(rng, A)
-        for name, gen in zip("xyh", A.generators()):
-            product = _times_generator(A, e.terms, name, sigma_h)
+        for gen, right in zip(gens, rights):
+            product = _times(A, e.terms, right)
             assert Element(A, product) == e * gen
             assert all(not p.is_zero() for p in product.values())
 
