@@ -26,7 +26,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .fields import FieldSpec, Scalar
-from .poly import NEG_INF, Poly, _sigma, sigma_pow
+from .poly import NEG_INF, Poly, _pow_str, _sigma, _terms_str, sigma_pow
 
 DEG_BOTTOM = (NEG_INF, NEG_INF)
 
@@ -230,18 +230,8 @@ class Element:
     # -- display -----------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for i, k in sorted(self.terms, reverse=True):
-            p = self.terms[(i, k)]
-            first = not chunks
-            neg, body = _term_str(i, p, k, first)
-            if first:
-                chunks.append(body)
-            else:
-                chunks.append((" - " if neg else " + ") + body)
-        return "".join(chunks)
+        terms = self.terms
+        return _terms_str(_term(i, terms[i, k], k) for i, k in sorted(terms, reverse=True))
 
     def __repr__(self):
         return f"Element({self})"
@@ -252,38 +242,16 @@ def _acc(out: dict, key, p: Poly) -> None:
     out[key] = p if cur is None else cur + p
 
 
-def _pow_str(letter: str, e: int) -> str:
-    return letter if e == 1 else f"{letter}^{e}"
-
-
-def _term_str(i: int, p: Poly, k: int, first: bool) -> tuple[bool, str]:
-    # the rendered string re-parses to the same term; scalars are folded to
-    # the front, multi-term polynomials are parenthesized
-    field = p.field
-    neg = False
-    factors = []
+def _term(i: int, p: Poly, k: int) -> tuple:
+    """x^i p(h) y^k as (coefficient, factors) for `_terms_str`; a multi-term
+    p is one parenthesized factor with coefficient 1."""
     single = p.single_monomial()
-    if single is not None:
-        c, j = single
-        if (not first) and field.is_rationals and c.value < 0:
-            neg, c = True, -c
-        if not c.is_one():
-            factors.append(str(c))
-        if i:
-            factors.append(_pow_str("x", i))
-        if j:
-            factors.append(_pow_str("h", j))
-        if k:
-            factors.append(_pow_str("y", k))
-        if not factors:
-            factors.append("1")
+    if single is None:
+        c, middle = p.field.one, f"({p})"
     else:
-        if i:
-            factors.append(_pow_str("x", i))
-        factors.append(f"({p})")
-        if k:
-            factors.append(_pow_str("y", k))
-    return neg, "*".join(factors)
+        c, j = single
+        middle = _pow_str("h", j)
+    return c, [_pow_str("x", i), middle, _pow_str("y", k)]
 
 
 def _gamma(algebra: AlgebraParams, c: int) -> Poly:

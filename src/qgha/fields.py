@@ -4,6 +4,11 @@ Scalars are immutable value objects.  Rationals are kept in lowest terms with
 positive denominator (Fraction guarantees this); prime-field values are
 residues in [0, p).  Mixing scalars of different fields raises FieldMismatch.
 Plain Python ints coerce into either field in arithmetic.
+
+Both fields run one code path: `FieldSpec.scalar` coerces through Fraction,
+`Scalar._reduced` takes a result mod p over F_p and leaves it as is over Q,
+and powers, negative ones included, are pow(value, e, p) with p = None
+over Q.  The characteristic matters only where roots are searched.
 """
 
 from __future__ import annotations
@@ -82,17 +87,12 @@ class FieldSpec:
             if value.field != self:
                 raise FieldMismatch(f"scalar over {value.field}, expected {self}")
             return value
-        if isinstance(value, str):
-            value = Fraction(value)
-        if self.p is None:
-            return Scalar(Fraction(value), self)
-        if isinstance(value, Fraction):
+        value = Fraction(value)
+        if self.p is not None:
             if value.denominator % self.p == 0:
                 raise DivisionByZero(f"denominator not invertible mod {self.p}")
-            num = value.numerator % self.p
-            den = value.denominator % self.p
-            return Scalar(num * pow(den, -1, self.p) % self.p, self)
-        return Scalar(int(value) % self.p, self)
+            value = value.numerator * pow(value.denominator, -1, self.p) % self.p
+        return Scalar(value, self)
 
     @property
     def zero(self) -> Scalar:
@@ -131,6 +131,11 @@ class Scalar:
         self.value = value
         self.field = field
 
+    def _reduced(self, value) -> Scalar:
+        """value in this scalar's field: reduced mod p over F_p."""
+        p = self.field.p
+        return Scalar(value if p is None else value % p, self.field)
+
     def _coerce(self, other):
         if isinstance(other, Scalar):
             if other.field != self.field:
@@ -144,9 +149,7 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.field.p is None:
-            return Scalar(self.value + other.value, self.field)
-        return Scalar((self.value + other.value) % self.field.p, self.field)
+        return self._reduced(self.value + other.value)
 
     __radd__ = __add__
 
@@ -163,17 +166,13 @@ class Scalar:
         return other - self
 
     def __neg__(self):
-        if self.field.p is None:
-            return Scalar(-self.value, self.field)
-        return Scalar(-self.value % self.field.p, self.field)
+        return self._reduced(-self.value)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.field.p is None:
-            return Scalar(self.value * other.value, self.field)
-        return Scalar(self.value * other.value % self.field.p, self.field)
+        return self._reduced(self.value * other.value)
 
     __rmul__ = __mul__
 
@@ -192,18 +191,13 @@ class Scalar:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return self.inv() ** (-exponent)
-        if self.field.p is None:
-            return Scalar(self.value**exponent, self.field)
+        if exponent < 0 and self.is_zero():
+            raise DivisionByZero("inverse of zero")
+        # pow with modulus None is plain v**e, which inverts for e < 0
         return Scalar(pow(self.value, exponent, self.field.p), self.field)
 
     def inv(self) -> Scalar:
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero")
-        if self.field.p is None:
-            return Scalar(1 / self.value, self.field)
-        return Scalar(pow(self.value, -1, self.field.p), self.field)
+        return self ** -1
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -257,10 +251,10 @@ def root_of_unity_order(q: Scalar) -> int | None:
     return order
 
 
-def _int_nth_root(n: int, m: int) -> tuple[int, bool]:
-    """floor(n**(1/m)) and exactness for n >= 0, m >= 1, by binary search."""
+def _int_nth_root(n: int, m: int) -> int:
+    """floor(n**(1/m)) for n >= 0, m >= 1, by binary search."""
     if n in (0, 1) or m == 1:
-        return n, True
+        return n
     lo, hi = 1, 1 << (n.bit_length() // m + 1)
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -268,15 +262,15 @@ def _int_nth_root(n: int, m: int) -> tuple[int, bool]:
             lo = mid
         else:
             hi = mid - 1
-    return lo, lo**m == n
+    return lo
 
 
 def nth_roots(m: int, c: Scalar) -> set[Scalar]:
     """All ground-field solutions u of u^m = c, for c != 0.
 
-    Over Q this is exact integer m-th root extraction on numerator and
-    denominator (for even m both signs are returned when a root exists);
-    over F_p they are the roots of u^m - c.
+    Over Q the candidates are +-r, with r the integer m-th roots of |numerator|
+    and denominator, kept when r^m = c (this covers both signs for odd and
+    even m); over F_p they are the roots of u^m - c.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -284,24 +278,9 @@ def nth_roots(m: int, c: Scalar) -> set[Scalar]:
         raise ZeroInput("c must be nonzero")
     field = c.field
     if field.is_rationals:
-        num, den = c.value.numerator, c.value.denominator
-        den_root, exact = _int_nth_root(den, m)
-        if not exact:
-            return set()
-        if m % 2 == 1:
-            num_root, exact = _int_nth_root(abs(num), m)
-            if not exact:
-                return set()
-            if num < 0:
-                num_root = -num_root
-            return {field.scalar(Fraction(num_root, den_root))}
-        if num < 0:
-            return set()
-        num_root, exact = _int_nth_root(num, m)
-        if not exact:
-            return set()
-        root = Fraction(num_root, den_root)
-        return {field.scalar(root), field.scalar(-root)}
+        v = c.value
+        root = Fraction(_int_nth_root(abs(v.numerator), m), _int_nth_root(v.denominator, m))
+        return {field.scalar(r) for r in (root, -root) if r**m == v}
     from .poly import Poly, poly_roots  # poly imports this module
 
     return poly_roots(Poly._make([-c.value] + [0] * (m - 1) + [1], 1, field))

@@ -441,31 +441,37 @@ class Poly:
     # -- display -----------------------------------------------------------
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[j]
-            if c.is_zero():
-                continue
-            first = not pieces
-            neg = (not first) and self.field.is_rationals and c.value < 0
-            body = _mono_str(-c if neg else c, j)
-            if first:
-                pieces.append(body)
-            else:
-                pieces.append((" - " if neg else " + ") + body)
-        return "".join(pieces)
+        cs = self.coeffs
+        return _terms_str((cs[j], [_pow_str("h", j)]) for j in reversed(range(len(cs))) if cs[j])
 
     def __repr__(self):
         return f"Poly({self})"
 
 
-def _mono_str(c: Scalar, j: int) -> str:
-    if j == 0:
-        return str(c)
-    hpart = "h" if j == 1 else f"h^{j}"
-    return hpart if c.is_one() else f"{c}*{hpart}"
+def _pow_str(letter: str, e: int) -> str:
+    """letter^e, written letter for e = 1 and empty for e = 0."""
+    if not e:
+        return ""
+    return letter if e == 1 else f"{letter}^{e}"
+
+
+def _terms_str(terms) -> str:
+    """The sum of (coefficient, factor strings) terms, written so it re-parses.
+
+    Each coefficient is folded to the front of its factors and left out when
+    it is 1; after the first term a negative rational is written " - " and
+    its magnitude.  Empty factors are skipped; no terms at all is "0".
+    """
+    pieces = []
+    for c, factors in terms:
+        if pieces and c.value < 0:  # F_p residues are never negative
+            pieces.append(" - ")
+            c = -c
+        elif pieces:
+            pieces.append(" + ")
+        factors = [s for s in factors if s]
+        pieces.append("*".join(factors if c.is_one() else [str(c), *factors]) or "1")
+    return "".join(pieces) or "0"
 
 
 def _sigma(f: Poly, orbit: list, s: int) -> Poly:

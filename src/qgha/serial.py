@@ -95,7 +95,7 @@ def load_algebra(path) -> AlgebraParams:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except ValueError as exc:  # also an integer with too many digits
+        except (ValueError, RecursionError) as exc:  # also long integers, deep nesting
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
     return algebra_from_dict(data)
 

@@ -132,10 +132,10 @@ def is_noetherian(algebra: AlgebraParams, witness_depth: int = 5) -> NoetherianR
 def solve_sigma_q(algebra: AlgebraParams) -> Optional[Poly]:
     """Solve sigma(a) - q*a = g for a in F[h], or return None.
 
-    Requires deg f >= 2 and q != 0.  For deg g >= 1 the degree of a is
-    forced to deg g / deg f, and the coefficients are determined from the
-    top down since the i-th unknown contributes a_i*(f^i - q*h^i) whose
-    top degree i*deg f is unique.  The solution is unique for q != 1; for
+    Requires deg f >= 2 and q != 0.  The degree of a is forced to
+    deg g / deg f, and the coefficients are determined from the top down
+    since the i-th unknown contributes a_i*(f^i - q*h^i) whose top degree
+    i*deg f is unique.  The solution is unique for q != 1; for
     q = 1 it is unique up to an additive constant and the representative
     with a(0) = 0 is returned.
     """
@@ -146,10 +146,6 @@ def solve_sigma_q(algebra: AlgebraParams) -> Optional[Poly]:
     if g.is_zero():
         return Poly.zero(field)
     deg_g, deg_f = g.degree(), f.degree()
-    if deg_g == 0:
-        if q.is_one():
-            return None
-        return Poly.const(g.coeff(0) / (field.one - q))
     if deg_g % deg_f != 0:
         return None
     m = deg_g // deg_f

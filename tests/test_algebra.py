@@ -247,13 +247,33 @@ def test_iota_involution_and_antimult(alg_q2_h2p1_h3, alg_f7):
             assert (a * b).iota() == b.iota() * a.iota()
 
 
-def test_element_str_deterministic(alg_q1_h2_h):
+def test_element_str_deterministic(alg_q1_h2_h, alg_f7):
     A = alg_q1_h2_h
     x, y, h = A.generators()
     e = h + x * x * y + x * (h * h - h)
     assert str(e) == "x^2*y + x*(h^2 - h) + h"
     assert str(Element.zero(A)) == "0"
     assert str(A.one() - A.one()) == "0"
+
+    def element(algebra, *terms):
+        return Element(algebra, {(i, k): Poly(cs, algebra.field) for i, cs, k in terms})
+
+    for terms, text in (
+        # a negative fraction after the first term
+        (((2, [1], 0), (0, [0, Fraction(-1, 2)], 0)), "x^2 - 1/2*h"),
+        # a -1 constant in a later term
+        (((1, [1], 1), (0, [-1], 0)), "x*y - 1"),
+        # a non-first term with a fraction, x, h and y
+        (((2, [1], 0), (1, [0, 0, Fraction(-3, 2)], 1)), "x^2 - 3/2*x*h^2*y"),
+        # a multi-term p with a negative leading coefficient
+        (((2, [1], 0), (1, [1, 0, -1], 1)), "x^2 + x*(-1*h^2 + 1)*y"),
+        # a -1 in the first term keeps its sign
+        (((0, [-1], 2),), "-1*y^2"),
+    ):
+        assert str(element(A, *terms)) == text
+    # over F_7 a coefficient 6 is a residue, written without a minus sign
+    assert str(element(alg_f7, (1, [0, 6], 0), (0, [6], 0))) == "6*x*h + 6"
+    assert str(element(alg_f7, (1, [1, 6], 1))) == "x*(6*h + 1)*y"
 
 
 def test_oracle_multiply_matches_fast(alg_q2_h2p1_h3):

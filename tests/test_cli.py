@@ -478,6 +478,22 @@ def test_deep_nesting_is_an_input_error(q1_h2_h):
     assert result.error == "error: more than 100 nested parentheses (at position 100)"
 
 
+def test_deeply_nested_json_is_an_input_error(tmp_path):
+    # 10^5 nested arrays used to end in a RecursionError traceback and exit 1
+    for name, text in (("bare.json", "[" * 10**5), ("g.json", '{"g": ' + "[" * 10**5)):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        result = run(["analyze", str(path)])
+        assert (result.exit_code, result.payload) == (2, "")
+        assert result.error.startswith(f"error: invalid JSON in {path}: ")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgha", "analyze", str(path)],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == result.error + "\n"
+
+
 # Runs one subcommand through main() in a fresh interpreter, then prints the
 # names of the loaded modules on a last line of its own.
 _IMPORT_PROBE = (

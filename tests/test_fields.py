@@ -58,6 +58,17 @@ def test_scalar_int_coercion_and_pow():
     assert 2 * F7.scalar(4) == F7.scalar(1)
     assert QQ.scalar(Fraction(2, 3)) ** -2 == QQ.scalar(Fraction(9, 4))
     assert F7.scalar(3) ** 0 == F7.one
+    for field in (QQ, F7):
+        # pow over F_p would raise ValueError on zero, an internal error (exit 5)
+        with pytest.raises(DivisionByZero):
+            field.zero ** -2
+        with pytest.raises(DivisionByZero):
+            field.zero.inv()
+        for v in (1, 2, 3, -1, Fraction(2, 3), Fraction(-5, 4)):
+            s = field.scalar(v)
+            for k in range(1, 5):
+                assert s ** -k == s.inv() ** k
+                assert s ** -k * s**k == field.one
 
 
 def test_fp_residue_normalization():
@@ -160,6 +171,22 @@ def test_nth_roots_are_roots(m, num, den):
     c = QQ.scalar(Fraction(num, den))
     for u in nth_roots(m, c):
         assert u**m == c
+
+
+def test_nth_roots_complete_over_rationals():
+    values = {Fraction(a, b) for a in range(1, 13) for b in range(1, 13)}
+    for m in range(1, 6):
+        powers = {r**m for r in values}
+        for r in values:
+            expected = {QQ.scalar(r), QQ.scalar(-r)} if m % 2 == 0 else {QQ.scalar(r)}
+            assert nth_roots(m, QQ.scalar(r**m)) == expected
+            if m % 2:
+                assert nth_roots(m, QQ.scalar(-(r**m))) == {QQ.scalar(-r)}
+            else:
+                assert nth_roots(m, QQ.scalar(-(r**m))) == set()
+        for c in values - powers:
+            assert nth_roots(m, QQ.scalar(c)) == set()
+            assert nth_roots(m, QQ.scalar(-c)) == set()
 
 
 def test_large_prime_field_arithmetic():

@@ -177,6 +177,11 @@ def test_str_round_trip_forms():
     assert str(P(-1, 0, -1)) == "-1*h^2 - 1"
     assert str(Poly.zero(QQ)) == "0"
     assert str(Poly([3, 1], F5)) == "h + 3"
+    assert str(P(Fraction(-1, 2), 0, 1)) == "h^2 - 1/2"  # a negative fraction later
+    assert str(P(-1, 1)) == "h - 1"  # a -1 constant in a later term
+    assert str(P(0, Fraction(-3, 2), 0, 2)) == "2*h^3 - 3/2*h"
+    assert str(P(0, -1)) == "-1*h"
+    assert str(Poly([6, 6], F7)) == "6*h + 6"  # F_7 residues have no sign
 
 
 small_polys = st.lists(st.integers(-4, 4), min_size=0, max_size=4).map(

@@ -212,6 +212,11 @@ def test_solve_sigma_q_examples():
     # f = h^2, q = 2, g = h: deg 1 is not a multiple of deg 2
     C = algebra(QQ, 2, [0, 0, 1], [0, 1])
     assert solve_sigma_q(C) is None
+    # constant g: a = g / (1 - q), and no solution for q = 1
+    assert solve_sigma_q(algebra(QQ, 1, [0, 0, 1], [1])) is None
+    assert solve_sigma_q(algebra(QQ, 3, [1, 1, 1], [4])) == Poly([-2], QQ)
+    assert solve_sigma_q(algebra(F7, 3, [0, 0, 1], [2])) == Poly([6], F7)  # -2*6 = 2
+    assert solve_sigma_q(algebra(F7, 1, [0, 0, 1], [5])) is None
     with pytest.raises(PreconditionViolated):
         solve_sigma_q(algebra(QQ, 2, [0, 1], [0, 1]))
     with pytest.raises(PreconditionViolated):
