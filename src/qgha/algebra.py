@@ -13,7 +13,8 @@ meaning  sum_{i,k} x^i p_ik(h) y^k.  Straightening rests on
 
 where sigma substitutes f for h and Gamma_c = sum_{j<c} q^{c-1-j} sigma^j(g).
 Products straighten in `_times`, which `Element.__mul__` and the growth
-experiment (with right operands and sigma-orbits kept per run) both call.
+experiment both call; each keeps one memo of sigma-orbits, per product or
+per run, so a polynomial met again is not composed with f again.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .fields import FieldSpec, Scalar
-from .poly import NEG_INF, Poly, _pow_str, _sigma, _terms_str, sigma_pow
+from .poly import NEG_INF, Poly, _orbit, _pow_str, _sigma, _terms_str, sigma_pow
 
 DEG_BOTTOM = (NEG_INF, NEG_INF)
 
@@ -174,9 +175,8 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check(other)
-            # sigma^s(p) recurs across straightening terms: one orbit per operand term
-            right = [(i2, k2, [p2]) for (i2, k2), p2 in other.terms.items()]
-            return Element(self.algebra, _times(self.algebra, self.terms, right))
+            # sigma^s(p) recurs across straightening terms: one orbit memo per product
+            return Element(self.algebra, _times(self.algebra, self.terms, other.terms, {}))
         if isinstance(other, (Scalar, int)):
             return self.scale(other)
         return NotImplemented
@@ -308,19 +308,23 @@ def yx_expand(b: int, c: int, algebra: AlgebraParams) -> Element:
     return Element(algebra, dict(_yx_terms(algebra, b, c)))
 
 
-def _times(algebra: AlgebraParams, terms: dict, right: list) -> dict:
-    """Terms map of terms * right, nonzero polynomials only.
+def _times(algebra: AlgebraParams, terms: dict, right_terms: dict, orbits: dict) -> dict:
+    """Terms map of terms * right_terms, nonzero polynomials only.
 
-    `right` lists the right operand's terms as (i2, k2, orbit), orbit =
-    [p2, sigma(p2), ...], extended in place so callers may keep it.
+    `orbits` maps a polynomial's (_nums, _den) to its sigma-orbit
+    [p, sigma(p), ...], which `_sigma` extends in place.  Both operands are
+    served from it, so a caller that keeps one memo across many products
+    composes each distinct polynomial once.
     """
     f = algebra.f
     out: dict[tuple[int, int], Poly] = {}
     for (i1, k1), p1 in terms.items():
-        left = [p1]
-        for i2, k2, orbit2 in right:
+        left = _orbit(orbits, p1)
+        for (i2, k2), p2 in right_terms.items():
+            right = _orbit(orbits, p2)
             for (s, t), w in _yx_terms(algebra, k1, i2).items():
-                _acc(out, (i1 + s, t + k2), _sigma(f, left, s) * w * _sigma(f, orbit2, t))
+                p = _sigma(f, orbits, left, s) * w * _sigma(f, orbits, right, t)
+                _acc(out, (i1 + s, t + k2), p)
     return {key: p for key, p in out.items() if not p.is_zero()}
 
 

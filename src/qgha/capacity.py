@@ -32,10 +32,6 @@ DEGREE_CAP = _OVERRIDE or DEFAULT_DEGREE_CAP
 SEARCH_CAP = _OVERRIDE or DEFAULT_SEARCH_CAP
 
 
-def degree_cap() -> int:
-    return DEGREE_CAP
-
-
 def search_cap() -> int:
     return SEARCH_CAP
 

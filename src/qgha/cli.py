@@ -47,6 +47,14 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        # every option but -h is spelled "--name", so an argument such as
+        # "-3*x" or "-5/2" is a value, not an unknown option
+        single_dash = arg_string.startswith("-") and not arg_string.startswith("--")
+        if single_dash and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
 
 def _int_at_least(low: int):
     """argparse type: an int >= low, so a bad count is a usage error."""

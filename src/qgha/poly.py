@@ -474,12 +474,33 @@ def _terms_str(terms) -> str:
     return "".join(pieces) or "0"
 
 
-def _sigma(f: Poly, orbit: list, s: int) -> Poly:
-    """sigma^s(orbit[0]), extending orbit = [p, sigma(p), ...] as needed."""
+def _orbit(orbits: dict, p: Poly) -> list:
+    """The sigma-orbit [p, sigma(p), ...] that the memo `orbits` keeps for p,
+    keyed by p's integers."""
+    key = (p._nums, p._den)
+    orbit = orbits.get(key)
+    if orbit is None:
+        orbit = orbits[key] = [p]
+    return orbit
+
+
+def _sigma(f: Poly, orbits: dict, orbit: list, s: int) -> Poly:
+    """sigma^s(orbit[0]), extending orbit = [p, sigma(p), ...] as needed.
+
+    Each step reads sigma(r) of the last entry r from r's own orbit in the
+    memo `orbits`, composing only when that orbit has no second entry yet,
+    so no polynomial is composed twice for one memo.
+    """
     while len(orbit) <= s:
         if orbit[0].degree() < 1:
             return orbit[0]  # sigma fixes constants
-        orbit.append(orbit[-1].compose(f))
+        last = orbit[-1]
+        own = _orbit(orbits, last)
+        if len(own) == 1:
+            own.append(last.compose(f))
+            if own is orbit:
+                continue
+        orbit.append(own[1])
     return orbit[s]
 
 
@@ -493,7 +514,8 @@ def sigma_pow(f: Poly, k: int, p: Poly) -> Poly:
     if k < 0:
         raise ValueError("k must be nonnegative")
     f._check(p)
-    return _sigma(f, [p], k)
+    orbits: dict = {}
+    return _sigma(f, orbits, _orbit(orbits, p), k)
 
 
 def _pull_back(g: Poly, u: Scalar, v: Scalar) -> Poly:

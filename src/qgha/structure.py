@@ -277,9 +277,11 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
     Maintains an echelonized basis in coordinates indexed by the normal
     monomials x^i h^j y^k, ordered by (i+j+k, then lex (i, j, k)) with the
     largest monomial as pivot.  Each step right-multiplies the previous
-    step's novel products by each generator in `_times`, keeping each
-    generator's sigma-orbit for the run, reduces the integer coordinate row
-    against the echelon and inserts what is new, so dims are deterministic.
+    step's novel products by each generator in `_times`, reduces the integer
+    coordinate row against the echelon and inserts what is new, so dims are
+    deterministic.  One sigma-orbit memo serves the whole run: a frontier
+    element and its products hold the same polynomials, and sigma^k(h)
+    lives there too, so each distinct polynomial is composed with f once.
     Rows are scaled freely, which leaves their span unchanged: over Q they
     are primitive integer vectors reduced by cross-multiplying, over F_p
     residues with pivot 1.
@@ -332,13 +334,13 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
     reduce_insert(_integer_row(unit))
     dims = [len(echelon)]
     frontier = [unit]
-    # right operands x, y, h as (i2, k2, orbit); the h orbit grows to sigma^k(h)
-    gens = ([(1, 0, [one])], [(0, 1, [one])], [(0, 0, [Poly.h(field)])])
+    gens = ({(1, 0): one}, {(0, 1): one}, {(0, 0): Poly.h(field)})
+    orbits: dict = {}
     for _ in range(max_n):
         new_frontier = []
         for terms in frontier:
             for right in gens:
-                candidate = _times(algebra, terms, right)
+                candidate = _times(algebra, terms, right, orbits)
                 if reduce_insert(_integer_row(candidate)):
                     new_frontier.append(candidate)
         dims.append(len(echelon))

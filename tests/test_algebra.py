@@ -305,6 +305,7 @@ _ORBIT_ALGEBRAS = [
     algebra(F7, 4, [6], [0, 2, 1]),
     algebra(F7, 3, [0, 1], [0, 1, 1]),
     algebra(F7, 3, [0, 0, 1], [0, 1, 1]),
+    algebra(QQ, 2, [1, -1], [0, 1]),  # f = 1 - h: sigma has period 2
 ]
 
 
@@ -323,6 +324,20 @@ def test_multiply_orbits_match_references(seed, index, max_deg):
     product = a * b
     assert product == _multiply_by_sigma_pow(a, b)
     assert product == oracle_multiply(a, b)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    index=st.integers(0, len(_ORBIT_ALGEBRAS) - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_powers_share_orbits_between_operands(seed, index):
+    A = _ORBIT_ALGEBRAS[index]
+    e = random_element(random.Random(seed), A, max_support=2, max_exp=2, max_deg=2)
+    # both operands of e * e hold the same polynomials, so one orbit serves both
+    square = oracle_multiply(e, e)
+    assert e * e == square
+    assert e**3 == oracle_multiply(e, square)
 
 
 @pytest.mark.parametrize("field", [QQ, FieldSpec(1009)], ids=str)

@@ -92,6 +92,18 @@ def test_deg(q2_h2_h):
     assert run(["deg", q2_h2_h, "0"]).payload == "(-inf, -inf)\n"
 
 
+def test_arguments_starting_with_a_dash_are_values(q2_h2_h, capsys):
+    assert run(["deg", q2_h2_h, "-3*x"]).payload == "(1, 0)\n"
+    assert run(["mul", q2_h2_h, "-2", "-1/2*y"]).payload == "y\n"
+    result = run(["convert", "--from-gdua", "0,0,1", "1", "1", "-5/2"])
+    assert result.exit_code == 0
+    assert json.loads(result.payload)["f"] == ["5/2", "1"]  # f = r*h - gamma
+    # -h and the --options keep their meaning
+    assert run(["deg", "-h"]).exit_code == 0
+    assert capsys.readouterr().out.startswith("usage: qgha deg")
+    assert run(["deg", q2_h2_h, "--bogus"]).exit_code == 1
+
+
 def test_iota(q2_h2_h):
     assert run(["iota", q2_h2_h, "x^2*h*y"]).payload == "x*h*y^2\n"
 

@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 import random
 import time
 from fractions import Fraction
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgha.algebra
 from qgha import (
     AlgebraParams,
     CenterKind,
@@ -33,6 +36,7 @@ from qgha.errors import (
     PreconditionViolated,
     WrongDegree,
 )
+from qgha.serial import algebra_from_dict, load_algebra
 from qgha.structure import _integer_row
 
 from conftest import QQ, F7, algebra, random_element, random_poly, random_scalar, rng_for
@@ -446,15 +450,58 @@ def test_times_generator_matches_element_product(seed, index):
     A = _RIGHT_MULTIPLY_ALGEBRAS[index]
     rng = random.Random(seed)
     gens = A.generators()
-    # one right operand per generator, orbits kept across both elements as
-    # across a gk run
-    rights = [[(i, k, [p]) for (i, k), p in gen.terms.items()] for gen in gens]
+    # one orbit memo for every product, as across a gk run
+    orbits: dict = {}
     for _ in range(2):
         e = random_element(rng, A)
-        for gen, right in zip(gens, rights):
-            product = _times(A, e.terms, right)
+        for gen in gens:
+            product = _times(A, e.terms, gen.terms, orbits)
             assert Element(A, product) == e * gen
             assert all(not p.is_zero() for p in product.values())
+
+
+CORPUS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "corpus")
+
+
+def test_gk_run_composes_each_polynomial_once(monkeypatch):
+    A = load_algebra(os.path.join(CORPUS, "q2_h2p1_h3.json"))
+    sigma, compose = qgha.algebra._sigma, Poly.compose
+    in_sigma: list = []
+    composed: list = []
+
+    def tracked_sigma(*args):
+        in_sigma.append(True)
+        try:
+            return sigma(*args)
+        finally:
+            in_sigma.pop()
+
+    def tracked_compose(p, inner):
+        if in_sigma:
+            composed.append((p._nums, p._den))
+        return compose(p, inner)
+
+    monkeypatch.setattr(qgha.algebra, "_sigma", tracked_sigma)
+    monkeypatch.setattr(Poly, "compose", tracked_compose)
+    assert gk_dimension_sequence(A, 7).dims == (1, 4, 13, 33, 76, 161, 323, 622)
+    # the run-wide memo: x*f(h) and y*h hold f, which also follows h in
+    # sigma^k(h), and each is composed once
+    assert composed and len(composed) == len(set(composed))
+
+
+def test_gk_matches_the_recorded_growth_pool():
+    with open(os.path.join(CORPUS, "growth_pool.json"), encoding="utf-8") as handle:
+        pool = json.load(handle)
+    horizon = pool["horizon"]
+    for entry in pool["entries"]:
+        A = algebra_from_dict(entry["algebra"])
+        assert list(gk_dimension_sequence(A, horizon).dims) == entry["dims"], entry["id"]
+
+
+def test_gk_q2_h2p1_h3_to_n9():
+    A = load_algebra(os.path.join(CORPUS, "q2_h2p1_h3.json"))
+    dims = (1, 4, 13, 33, 76, 161, 323, 622, 1160, 2111)
+    assert gk_dimension_sequence(A, 9).dims == dims
 
 
 def test_integer_row_scales_by_the_denominator_lcm():
