@@ -24,6 +24,7 @@ from .errors import (
     CapacityExceeded,
     DegenerateAlgebra,
     FieldMismatch,
+    InvalidArgument,
     ZeroPolynomial,
 )
 from .fields import FieldSpec, Scalar
@@ -117,7 +118,7 @@ class Element:
         clean: dict[tuple[int, int], Poly] = {}
         for (i, k), p in terms.items():
             if i < 0 or k < 0:
-                raise ValueError("exponents must be nonnegative")
+                raise InvalidArgument("exponents must be nonnegative")
             if i > MAX_EXPONENT or k > MAX_EXPONENT:
                 raise CapacityExceeded(f"exponent beyond {MAX_EXPONENT}")
             if p.field != algebra.field:
@@ -304,7 +305,7 @@ def yx_expand(b: int, c: int, algebra: AlgebraParams) -> Element:
     Agrees with the rewriting oracle on the same word.
     """
     if b < 0 or c < 0:
-        raise ValueError("exponents must be nonnegative")
+        raise InvalidArgument("exponents must be nonnegative")
     return Element(algebra, dict(_yx_terms(algebra, b, c)))
 
 

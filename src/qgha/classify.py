@@ -21,6 +21,7 @@ from typing import NamedTuple
 from .algebra import AlgebraParams, Element
 from .errors import (
     FieldMismatch,
+    InvalidArgument,
     NonSplitQuadratic,
     PreconditionViolated,
     UnsupportedRegime,
@@ -282,7 +283,7 @@ def from_downup(
     """Convert a down-up presentation; choice picks the root ordering."""
     candidates = downup_candidates(alpha, beta, gamma)
     if not 0 <= choice < len(candidates):
-        raise ValueError(
+        raise InvalidArgument(
             f"choice {choice} out of range for {len(candidates)} root ordering(s)"
         )
     return candidates[choice][2]

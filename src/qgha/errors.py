@@ -9,6 +9,13 @@ class QghaError(Exception):
     exit_code = 3
 
 
+class InvalidArgument(QghaError, ValueError):
+    """An argument outside the domain its function documents, such as a
+    negative exponent; a ValueError too, for callers that catch that."""
+
+    exit_code = 2
+
+
 class NotPrime(QghaError):
     """A prime-field modulus failed the primality check."""
 

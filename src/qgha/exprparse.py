@@ -5,8 +5,11 @@ Grammar (whitespace insignificant between tokens):
     expr   := term (('+' | '-') term)*
     term   := factor ('*' factor)*
     factor := atom ('^' nat)?
-    atom   := 'x' | 'y' | 'h' | scalar | '(' expr ')'
+    atom   := ['-'] ('x' | 'y' | 'h' | '(' expr ')') | scalar
     scalar := ['-'] digits ['/' digits]
+
+A leading '-' binds to its atom, as a scalar's sign does: "-x^2" is
+(-x)^2, just as "-3^2" is 9, and "-x" evaluates as "-1*x".
 
 Parsing builds a small syntax tree and counts the words it expands to
 (sums add, products multiply, atoms are one word), raising CapacityExceeded
@@ -160,6 +163,11 @@ class _Parser:
 
     def atom(self):
         token = self._peek()
+        if self._at_op("-") and self.tokens[self.idx + 1].text in ("x", "y", "h", "("):
+            self._advance()
+            count, node = self.atom()
+            minus_one = Element.from_scalar(self.algebra, -self.field.one)
+            return count, (minus_one, [(operator.mul, node)])
         if token.kind == "letter":
             self._advance()
             return 1, self.letters[token.text]

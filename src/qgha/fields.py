@@ -16,7 +16,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .capacity import check_search
-from .errors import CapacityExceeded, DivisionByZero, FieldMismatch, NotPrime, ZeroInput
+from .errors import (
+    CapacityExceeded,
+    DivisionByZero,
+    FieldMismatch,
+    InvalidArgument,
+    NotPrime,
+    ZeroInput,
+)
 
 
 # Miller-Rabin on the primes 2..41 is exact for every n below this bound
@@ -105,7 +112,7 @@ class FieldSpec:
     def elements(self):
         """All field elements in ascending residue order (prime fields only)."""
         if self.p is None:
-            raise ValueError("cannot enumerate Q")
+            raise InvalidArgument("cannot enumerate Q")
         check_search(self.p, f"enumeration of F_{self.p}")
         for r in range(self.p):
             yield Scalar(r, self)
@@ -117,9 +124,9 @@ def field_make(kind: str, p: int | None = None) -> FieldSpec:
         return FieldSpec()
     if kind == "Fp":
         if p is None:
-            raise ValueError("prime field requires p")
+            raise InvalidArgument("prime field requires p")
         return FieldSpec(p)
-    raise ValueError(f"unknown field kind {kind!r}")
+    raise InvalidArgument(f"unknown field kind {kind!r}")
 
 
 class Scalar:
@@ -273,7 +280,7 @@ def nth_roots(m: int, c: Scalar) -> set[Scalar]:
     even m); over F_p they are the roots of u^m - c.
     """
     if m < 1:
-        raise ValueError("m must be positive")
+        raise InvalidArgument("m must be positive")
     if c.is_zero():
         raise ZeroInput("c must be nonzero")
     field = c.field

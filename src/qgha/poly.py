@@ -14,6 +14,10 @@ Products of coefficient lists (`_int_conv`) run a schoolbook loop on short
 operands and a Kronecker substitution on longer ones: each list is packed
 into one integer with fixed-width signed lanes (`_pack`/`_unpack`), sized
 from an exact coefficient bound, and CPython multiplies the two integers.
+Lanes of up to 8 bytes are widened to 1, 2, 4 or 8, so that `array` and
+`memoryview` convert them in native byte order with no per-lane Python
+work; an XOR offset of 0x80 atop every lane maps the signed sum to the
+lanes' two's complement and back.
 `compose` runs Horner when the outer polynomial is short.  A longer outer
 is split as A + h^k B, with k a power of two, and rebuilt from its two
 halves and the memoized power m^k of the inner numerators, reducing mod p
@@ -26,11 +30,13 @@ are exact, so they give the same results.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd, lcm
 
 from .capacity import check_degree, check_search
-from .errors import DivisionByZero, FieldMismatch, ZeroPolynomial, ZeroScale
+from .errors import DivisionByZero, FieldMismatch, InvalidArgument, ZeroPolynomial, ZeroScale
 from .fields import FieldSpec, Scalar
 
 NEG_INF = float("-inf")
@@ -57,39 +63,53 @@ _SPLIT_BITS = 90
 _LEAF_MAX = 64
 _LEAF_BITS = 256
 
+# Signed `array` type codes by item size; their native byte order is the
+# packed integers' little-endian one only on a little-endian host.
+_LANE_CODES = {array(c).itemsize: c for c in "qlihb"} if sys.byteorder == "little" else {}
+
+
+def _lane_offset(n: int, nb: int) -> int:
+    """2^(8*nb - 1) in each of n nb-byte lanes: 0x80 atop every lane."""
+    return int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
+
 
 def _pack(vals, nb: int) -> int:
     """sum vals[i] * 2^(8*nb*i): one integer with nb-byte signed lanes.
 
-    Needs |vals[i]| < 2^(8*nb - 1) for `_unpack` to read the lanes back.
+    Needs -2^(8*nb - 1) <= vals[i] < 2^(8*nb - 1) for `_unpack` to read the
+    lanes back.  With the lanes written in two's complement as T, the sum is
+    (T ^ offset) - offset: flipping a lane's top bit adds half a lane to its
+    signed value, with no carries.  Lanes of 1, 2, 4 or 8 bytes are written
+    by `array` at C speed, wider ones by one `to_bytes` each.
     """
-    zero = bytes(nb)
-    packed = int.from_bytes(
-        b"".join([v.to_bytes(nb, "little") if v > 0 else zero for v in vals]), "little"
-    )
-    if min(vals) < 0:
-        packed -= int.from_bytes(
-            b"".join([(-v).to_bytes(nb, "little") if v < 0 else zero for v in vals]),
-            "little",
-        )
-    return packed
+    code = _LANE_CODES.get(nb)
+    if code:
+        raw = array(code, vals).tobytes()
+    else:
+        raw = b"".join([v.to_bytes(nb, "little", signed=True) for v in vals])
+    offset = _lane_offset(len(vals), nb)
+    return (int.from_bytes(raw, "little") ^ offset) - offset
 
 
 def _unpack(packed: int, n: int, nb: int) -> list:
-    """The n signed nb-byte lanes of packed, each in (-2^(8nb-1), 2^(8nb-1)).
+    """The n signed nb-byte lanes of packed: the inverse of `_pack`.
 
-    Adding half a lane to every lane (a geometric series in 2^(8nb)) makes
-    each lane a nonnegative byte string that `from_bytes` reads directly.
+    (packed + offset) ^ offset is the lanes in two's complement, which a
+    `memoryview` reads at C speed for lanes of 1, 2, 4 or 8 bytes.
     """
-    half = 1 << (8 * nb - 1)
-    offset = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
-    raw = (packed + offset).to_bytes(n * nb, "little")
-    return [int.from_bytes(raw[i : i + nb], "little") - half for i in range(0, n * nb, nb)]
+    offset = _lane_offset(n, nb)
+    raw = ((packed + offset) ^ offset).to_bytes(n * nb, "little")
+    code = _LANE_CODES.get(nb)
+    if code:
+        return memoryview(raw).cast(code).tolist()
+    return [int.from_bytes(raw[i : i + nb], "little", signed=True) for i in range(0, n * nb, nb)]
 
 
 def _lane_bytes(bits: int) -> int:
-    """Lane width in bytes for signed values below 2^bits in magnitude."""
-    return bits // 8 + 1
+    """Lane width in bytes for signed values below 2^bits in magnitude,
+    rounded up to 1, 2, 4 or 8 bytes, the widths `array` converts."""
+    nb = bits // 8 + 1
+    return nb if nb > 8 else 1 << (nb - 1).bit_length()
 
 
 def _int_conv(a, b) -> list:
@@ -512,7 +532,7 @@ def sigma_pow(f: Poly, k: int, p: Poly) -> Poly:
     y^k in the algebra.
     """
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise InvalidArgument("k must be nonnegative")
     f._check(p)
     orbits: dict = {}
     return _sigma(f, orbits, _orbit(orbits, p), k)

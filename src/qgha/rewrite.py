@@ -16,7 +16,7 @@ CLI reaches it only through `mul --oracle`.
 from __future__ import annotations
 
 from .algebra import AlgebraParams, Element
-from .errors import AlgebraMismatch, FieldMismatch
+from .errors import AlgebraMismatch, FieldMismatch, InvalidArgument
 from .fields import Scalar
 from .poly import Poly
 
@@ -34,7 +34,7 @@ class FreeWord:
         letters = tuple(letters)
         for ch in letters:
             if ch not in LETTERS:
-                raise ValueError(f"letter {ch!r} is not one of x, y, h")
+                raise InvalidArgument(f"letter {ch!r} is not one of x, y, h")
         self.coeff = coeff
         self.letters = letters
 
@@ -68,7 +68,7 @@ def reduce_word(words, algebra: AlgebraParams, strategy: str = "leftmost") -> El
     elif strategy == "rightmost":
         find = _last_redex
     else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise InvalidArgument(f"unknown strategy {strategy!r}")
     if isinstance(words, (FreeWord, str)):
         words = [words]
     current: dict[tuple, Scalar] = {}

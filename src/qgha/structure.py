@@ -14,7 +14,13 @@ from typing import NamedTuple, Optional
 
 from .algebra import AlgebraParams, Element, _times
 from .capacity import check_search
-from .errors import InternalError, NoFixedPointInField, PreconditionViolated, WrongDegree
+from .errors import (
+    InternalError,
+    InvalidArgument,
+    NoFixedPointInField,
+    PreconditionViolated,
+    WrongDegree,
+)
 from .fields import Scalar, root_of_unity_order
 from .poly import Poly, affine_conjugate, poly_roots
 
@@ -93,7 +99,7 @@ def noetherian_witness_check(algebra: AlgebraParams, depth: int) -> WitnessChain
     if f.degree() < 2:
         raise WrongDegree("the witness construction needs deg f >= 2")
     if depth < 1:
-        raise ValueError("depth must be positive")
+        raise InvalidArgument("depth must be positive")
     check_search(depth, "witness depth")
     fixed_points = poly_roots(f - Poly.h(field))
     if not fixed_points:
@@ -287,7 +293,7 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
     residues with pivot 1.
     """
     if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
+        raise InvalidArgument("max_n must be nonnegative")
     check_search(max_n, "growth horizon")
     field = algebra.field
     p = field.p

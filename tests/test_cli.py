@@ -104,6 +104,29 @@ def test_arguments_starting_with_a_dash_are_values(q2_h2_h, capsys):
     assert run(["deg", q2_h2_h, "--bogus"]).exit_code == 1
 
 
+def test_unary_minus_on_letters_and_parentheses(q2_h2_h):
+    for expr in ("-x", "-(x+h)", "x*-h"):
+        assert run(["deg", q2_h2_h, expr]).payload == "(1, 0)\n"
+    # '-' binds to its atom as a scalar's sign does, and -a is -1*a
+    for negated, spelled in [
+        ("-x", "-1*x"),
+        ("-(x+h)", "-1*(x+h)"),
+        ("x*-h", "x*(-1*h)"),
+        ("-x^2", "x^2"),
+        ("-(x+y)^2", "(x+y)^2"),
+        ("y - -x", "y + x"),
+        ("-(-y*h)", "y*h"),
+    ]:
+        want = run(["mul", q2_h2_h, spelled, "h"]).payload
+        assert run(["mul", q2_h2_h, negated, "h"]).payload == want
+    assert run(["mul", q2_h2_h, "-x", "-y"]).payload == run(["mul", q2_h2_h, "x", "y"]).payload
+    # one sign per atom, as for scalars: a second '-' is a parse error at the first
+    for bad, position in [("- -x", 0), ("x*--y", 2), ("y+-(--3)", 4), ("x*-", 2)]:
+        result = run(["deg", q2_h2_h, bad])
+        assert result.exit_code == 2
+        assert result.error.endswith(f"(at position {position})")
+
+
 def test_iota(q2_h2_h):
     assert run(["iota", q2_h2_h, "x^2*h*y"]).payload == "x*h*y^2\n"
 
@@ -391,7 +414,9 @@ _ERROR_CLASSES = [
     for _, cls in inspect.getmembers(errors, inspect.isclass)
     if issubclass(cls, errors.QghaError) and cls is not errors.QghaError
 ]
-_PARSE_EXIT = {"NotPrime", "SchemaError", "ParseError", "LexError", "ExprSyntaxError"}
+_PARSE_EXIT = {
+    "NotPrime", "SchemaError", "ParseError", "LexError", "ExprSyntaxError", "InvalidArgument"
+}
 
 
 @pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda cls: cls.__name__)

@@ -105,3 +105,29 @@ def test_reports_are_immutable(alg_q1_h2_h):
         field = report._fields[0]
         with pytest.raises(AttributeError):
             setattr(report, field, getattr(report, field))
+
+
+# An argument outside its documented domain, one case per site.
+_INVALID_ARGUMENTS = {
+    "Element exponent": lambda A: qgha.Element(A, {(-1, 0): qgha.Poly.one(QQ)}),
+    "yx_expand exponent": lambda A: qgha.yx_expand(1, -2, A),
+    "gk max_n": lambda A: qgha.gk_dimension_sequence(A, -1),
+    "witness depth": lambda A: qgha.noetherian_witness_check(A, 0),
+    "sigma_pow k": lambda A: qgha.sigma_pow(A.f, -1, qgha.Poly.h(QQ)),
+    "nth_roots m": lambda A: qgha.nth_roots(0, QQ.one),
+    "field kind": lambda A: qgha.field_make("Zp", 7),
+    "field without p": lambda A: qgha.field_make("Fp"),
+    "enumerate Q": lambda A: next(QQ.elements()),
+    "word letter": lambda A: qgha.FreeWord(QQ.one, "xz"),
+    "rewrite strategy": lambda A: qgha.reduce_word("yx", A, strategy="innermost"),
+    "down-up choice": lambda A: qgha.from_downup(QQ.zero, QQ.one, QQ.zero, choice=2),
+}
+
+
+@pytest.mark.parametrize("site", _INVALID_ARGUMENTS)
+def test_invalid_arguments_are_typed(site, alg_q1_h2_h):
+    with pytest.raises(qgha.errors.InvalidArgument) as info:
+        _INVALID_ARGUMENTS[site](alg_q1_h2_h)
+    # still a ValueError for callers that catch one, but an input error
+    assert isinstance(info.value, ValueError)
+    assert info.value.exit_code == 2

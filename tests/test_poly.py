@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qgha import NEG_INF, FieldSpec, Poly, affine_conjugate, poly_roots, sigma_pow
@@ -547,6 +547,59 @@ def test_pack_unpack_round_trip(vals, nb):
     packed = poly_module._pack(vals, nb)
     assert packed == sum(v << (8 * nb * i) for i, v in enumerate(vals))
     assert poly_module._unpack(packed, len(vals), nb) == vals
+
+
+@pytest.mark.parametrize("nb", range(1, 41))
+def test_pack_unpack_every_lane_width(nb, monkeypatch):
+    top = 2 ** (8 * nb - 1) - 1
+    # widths 1, 2, 4 and 8 take the array path, unless no type codes are
+    # given, as on a big-endian host; other widths go one lane at a time
+    for codes in (dict(poly_module._LANE_CODES), {}):
+        monkeypatch.setattr(poly_module, "_LANE_CODES", codes)
+        for vals in ([top, -top, 0, 1, -1], [-top] * 3, [0], [-1, top, 1, -top], [top]):
+            packed = poly_module._pack(vals, nb)
+            assert packed == sum(v << (8 * nb * i) for i, v in enumerate(vals))
+            assert poly_module._unpack(packed, len(vals), nb) == vals
+
+
+def test_lane_bytes_rounds_to_array_widths():
+    for bits in range(400):
+        nb = poly_module._lane_bytes(bits)
+        assert nb >= bits // 8 + 1
+        if bits <= 63:
+            assert nb in (1, 2, 4, 8)
+        else:
+            assert nb == bits // 8 + 1
+
+
+_CUT = poly_module._PACK_MIN
+
+
+# la * lb >= _PACK_MIN * (la + lb) picks the packed product: both sides of
+# that cutoff for equal lengths, and for one short and one long list.
+# No shrink phase: the values come from a seed, which shrinking cannot
+# simplify, and shrinking a kernel fault here ran for minutes.
+@given(
+    la=st.sampled_from([_CUT - 1, _CUT, _CUT + 1, 2 * _CUT - 1, 2 * _CUT, 2 * _CUT + 1]),
+    lb=st.sampled_from([_CUT - 1, 2 * _CUT - 1, 2 * _CUT, 2 * _CUT + 1, 100]),
+    share=st.integers(0, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+def test_int_conv_near_lane_widths_matches_schoolbook(la, lb, share, seed):
+    rng = random.Random(seed)
+    # _int_conv sizes lanes from bits(max|a|) + bits(max|b|) + bits(min length):
+    # put that bound on each side of the edge of a lane width, 8 * width bits
+    for width in (1, 2, 4, 8, 9, 10, 16):
+        for edge in range(8 * width - 2, 8 * width + 2):
+            total = max(2, edge - min(la, lb).bit_length())
+            bits_a = max(1, min(total - 1, share * total // 16))
+            lists = []
+            for n, top in ((la, 2**bits_a - 1), (lb, 2 ** (total - bits_a) - 1)):
+                values = [rng.choice([top, -top, 0, rng.randint(-top, top)]) for _ in range(n)]
+                values[rng.randrange(n)] = rng.choice([top, -top])
+                lists.append(values)
+            assert poly_module._int_conv(*lists) == _reference_conv(*lists)
 
 
 def test_compose_large_degree_over_f17_is_fast():
