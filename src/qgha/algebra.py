@@ -14,7 +14,11 @@ meaning  sum_{i,k} x^i p_ik(h) y^k.  Straightening rests on
 where sigma substitutes f for h and Gamma_c = sum_{j<c} q^{c-1-j} sigma^j(g).
 Products straighten in `_times`, which `Element.__mul__` and the growth
 experiment both call; each keeps one memo of sigma-orbits, per product or
-per run, so a polynomial met again is not composed with f again.
+per run, so a polynomial met again is not composed with f again.  The
+normal forms of y^b x^c that `_times` reads come from the same loop and the
+same memo: y x^c in closed form, with sigma^j(g) read from g's orbit, and
+y^b x^c as y times y^{b-1} x^c.  Every substitution of f goes through
+`poly._sigma`.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ class AlgebraParams:
     their consequences.
     """
 
-    __slots__ = ("field", "q", "f", "g", "_yx_memo", "_gamma_memo")
+    __slots__ = ("field", "q", "f", "g", "_yx_memo")
 
     def __init__(self, field: FieldSpec, q, f: Poly, g: Poly):
         self.field = field
@@ -52,9 +56,8 @@ class AlgebraParams:
             raise FieldMismatch("f and g must live over the declared field")
         self.f = f
         self.g = g
-        # pure caches: y^b x^c normal forms and the Gamma_c polynomials
+        # pure cache: y^b x^c normal forms
         self._yx_memo: dict[tuple[int, int], dict] = {}
-        self._gamma_memo: list[Poly] = [Poly.zero(field)]
 
     @property
     def is_domain(self) -> bool:
@@ -255,58 +258,47 @@ def _term(i: int, p: Poly, k: int) -> tuple:
     return c, [_pow_str("x", i), middle, _pow_str("y", k)]
 
 
-def _gamma(algebra: AlgebraParams, c: int) -> Poly:
-    """Gamma_c = sum_{j=0}^{c-1} q^{c-1-j} sigma^j(g), via the recurrence
-    Gamma_c = q^{c-1} g + sigma(Gamma_{c-1})."""
-    memo = algebra._gamma_memo
-    while len(memo) <= c:
-        n = len(memo)
-        if n == 1:
-            memo.append(algebra.g)
-        else:
-            memo.append(algebra.q ** (n - 1) * algebra.g + memo[n - 1].compose(algebra.f))
-    return memo[c]
+def _yx_terms(algebra: AlgebraParams, b: int, c: int, orbits: dict) -> dict:
+    """Terms map of the normal form of y^b x^c (shared memo; treat as frozen).
 
-
-def _yx_terms(algebra: AlgebraParams, b: int, c: int) -> dict:
-    """Terms map of the normal form of y^b x^c (shared memo; treat as frozen)."""
+    y x^n = q^n x^n y + x^{n-1} Gamma_n for n = 1..c, where Gamma_n =
+    q Gamma_{n-1} + sigma^{n-1}(g) takes Gamma_{n-1} from the memoized
+    y x^{n-1} and sigma^{n-1}(g) from g's orbit in `orbits`; then
+    y^b x^c = y * (y^{b-1} x^c) for b = 2.. through `_times`.  Both loops
+    fill the memo upwards and skip what it already holds.
+    """
     memo = algebra._yx_memo
-    key = (b, c)
-    hit = memo.get(key)
+    hit = memo.get((b, c))
     if hit is not None:
         return hit
     one = Poly.one(algebra.field)
-    if b == 0:
-        memo[key] = {(c, 0): one}
-        return memo[key]
-    if c == 0:
-        memo[key] = {(0, b): one}
-        return memo[key]
-    for bb in range(1, b + 1):
-        if (bb, c) in memo:
-            continue
-        prev = _yx_terms(algebra, bb - 1, c)
-        terms: dict[tuple[int, int], Poly] = {}
-        for (i, k), w in prev.items():
-            sigma_w = w.compose(algebra.f)
-            if i == 0:
-                _acc(terms, (0, k + 1), sigma_w)
-            else:
-                _acc(terms, (i, k + 1), algebra.q**i * sigma_w)
-                _acc(terms, (i - 1, k), _gamma(algebra, i) * w)
-        memo[(bb, c)] = {key2: p for key2, p in terms.items() if not p.is_zero()}
-    return memo[key]
+    if b == 0 or c == 0:
+        memo[b, c] = {(c, b): one}  # x^c or y^b
+        return memo[b, c]
+    q, g_orbit = algebra.q, _orbit(orbits, algebra.g)
+    for n in range(1, c + 1):
+        if (1, n) not in memo:
+            gamma = _sigma(algebra.f, orbits, g_orbit, n - 1)
+            previous = memo.get((1, n - 1), {}).get((n - 2, 0))
+            if previous is not None:
+                gamma = q * previous + gamma
+            terms = {(n, 1): q**n * one, (n - 1, 0): gamma}
+            memo[1, n] = {key: p for key, p in terms.items() if not p.is_zero()}
+    for bb in range(2, b + 1):
+        if (bb, c) not in memo:
+            memo[bb, c] = _times(algebra, {(0, 1): one}, memo[bb - 1, c], orbits)
+    return memo[b, c]
 
 
 def yx_expand(b: int, c: int, algebra: AlgebraParams) -> Element:
     """Normal form of y^b x^c.
 
-    For b = 1 this is q^c x^c y + x^{c-1} Gamma_c(h); higher b by recursion.
-    Agrees with the rewriting oracle on the same word.
+    For b = 1 this is q^c x^c y + x^{c-1} Gamma_c(h); higher b multiply y
+    into y^{b-1} x^c.  Agrees with the rewriting oracle on the same word.
     """
     if b < 0 or c < 0:
         raise InvalidArgument("exponents must be nonnegative")
-    return Element(algebra, dict(_yx_terms(algebra, b, c)))
+    return Element(algebra, dict(_yx_terms(algebra, b, c, {})))
 
 
 def _times(algebra: AlgebraParams, terms: dict, right_terms: dict, orbits: dict) -> dict:
@@ -323,7 +315,7 @@ def _times(algebra: AlgebraParams, terms: dict, right_terms: dict, orbits: dict)
         left = _orbit(orbits, p1)
         for (i2, k2), p2 in right_terms.items():
             right = _orbit(orbits, p2)
-            for (s, t), w in _yx_terms(algebra, k1, i2).items():
+            for (s, t), w in _yx_terms(algebra, k1, i2, orbits).items():
                 p = _sigma(f, orbits, left, s) * w * _sigma(f, orbits, right, t)
                 _acc(out, (i1 + s, t + k2), p)
     return {key: p for key, p in out.items() if not p.is_zero()}

@@ -80,11 +80,29 @@ def test_yx_expand(alg_q1_h2_h):
 
 
 def test_yx_expand_matches_oracle_on_words(alg_q2_h2p1_h3, alg_f7):
-    for A in (alg_q2_h2p1_h3, alg_f7):
+    presentations = [
+        alg_q2_h2p1_h3,
+        alg_f7,
+        algebra(FieldSpec(13), 2, [0, 0, 1], []),  # g = 0 over F_13
+        algebra(QQ, 0, [1, 0, 1], [0, 0, 0, 1]),  # q = 0
+        algebra(QQ, 2, [1, 1], [0, 1]),  # deg f = 1
+        algebra(F7, 3, [5], [0, 1, 1]),  # constant f
+    ]
+    for A in presentations:
         for b in range(4):
             for c in range(4):
                 word = "y" * b + "x" * c
                 assert yx_expand(b, c, A) == reduce_word(word, A)
+    # largest word first, on a fresh algebra per word and on one shared
+    # algebra, so the memo fills from empty and then serves smaller words
+    # (the oracle alone takes seconds on y^4 x^4 in the first presentation)
+    for params in presentations[1:]:
+        shared = AlgebraParams(params.field, params.q, params.f, params.g)
+        for b, c in itertools.product(range(4, -1, -1), repeat=2):
+            fresh = AlgebraParams(params.field, params.q, params.f, params.g)
+            expected = reduce_word("y" * b + "x" * c, fresh)
+            assert yx_expand(b, c, fresh) == expected, (params, b, c)
+            assert yx_expand(b, c, shared) == expected, (params, b, c)
 
 
 def test_deg_lex(alg_q1_h2_h):
