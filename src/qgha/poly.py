@@ -18,7 +18,11 @@ Lanes of up to 8 bytes are widened to 1, 2, 4 or 8, so that `array` and
 `memoryview` convert them in native byte order with no per-lane Python
 work; an XOR offset of 0x80 atop every lane maps the signed sum to the
 lanes' two's complement and back.
-`compose` runs Horner when the outer polynomial is short.  A longer outer
+`compose` first takes out the gcd s of the inner's nonconstant exponents:
+an inner M(h^s) composes as M, and the result is spread to every s-th
+place, so the substitutions of f = h^2 + c run on half the length with a
+linear inner, and those of f = c h^s need no products at all.  It then
+runs Horner when the outer polynomial is short.  A longer outer
 is split as A + h^k B, with k a power of two, and rebuilt from its two
 halves and the memoized power m^k of the inner numerators, reducing mod p
 at every node; short blocks with narrow lanes run Horner on one packed
@@ -52,9 +56,13 @@ _PACK_MIN = 9
 # packing measured no gain.
 _COMPOSE_MIN = 12
 # Over Q the result coefficients grow with the outer length; Horner wins
-# again once their bound exceeds _SPLIT_BITS * sqrt(outer length) bits
-# (crossovers measured from f = h^2 + 1 at length ~2800 to f = h^2 + 2^15
-# at ~40 all sit within 80..106 * sqrt(length)).  Over F_p every node is
+# again once their bound exceeds _SPLIT_BITS * sqrt(outer length) bits.
+# Measured crossovers sit within 85..120 * sqrt(length) for three-term
+# inners (h^2 + 1 at length ~2800 to h^2 + 3h + 2^15 at ~50), and within
+# 125..160 for linear ones (h + 1 at ~3000 to h + 2^15 at ~100), which is
+# what f = h^2 + c leaves after `compose` takes out the exponent gcd.  90
+# sits in the three-term band; a linear inner between 90 and ~125 runs
+# Horner where the split would be up to 2x faster.  Over F_p every node is
 # reduced, so the split always runs.
 _SPLIT_BITS = 90
 # Longest block that the divide-and-conquer compose evaluates by Horner on
@@ -435,11 +443,15 @@ class Poly:
         """self(inner(h)) on integers.
 
         With self = sum n_i h^i / D of degree d and inner = m / E,
-        self(inner) = (sum n_i m^i E^(d-i)) / (D E^d).  A longer self
-        splits its coefficients in halves (`_compose_split`), so the long
-        products are Kronecker products of packed integers; a short self,
-        or one whose result over Q has long coefficients for its length
-        (`_split_leaf`), runs Horner over coefficient lists.
+        self(inner) = (sum n_i m^i E^(d-i)) / (D E^d).  When the exponents
+        of m's nonconstant terms share a gcd s > 1, m = M(h^s) and the sum
+        is computed with M, then written to every s-th place: half the
+        length for f = h^2 + c.  If M is c h, the sum is n_i c^i E^(d-i)
+        per coefficient.  Otherwise a longer self splits its coefficients
+        in halves (`_compose_split`), so the long products are Kronecker
+        products of packed integers; a short self, or one whose result
+        over Q has long coefficients for its length (`_split_leaf`), runs
+        Horner over coefficient lists.  Both pick their path from M.
         """
         self._check(inner)
         if self.degree() >= 1 and inner.degree() >= 1:
@@ -447,11 +459,22 @@ class Poly:
         p = self.field.p
         nums, m, e = self._nums, inner._nums, inner._den
         d = len(nums) - 1
-        leaf = _split_leaf(nums, m, e, p)
-        if leaf:
-            acc = _compose_split(nums, m, e, p, [m], leaf)
+        # inner = M(h^step): compose with M, then spread to every step-th place
+        step = gcd(*(j for j in range(1, len(m)) if m[j]))
+        if step > 1:
+            m = m[::step]
+        if len(m) == 2 and not m[0]:  # M = c h: scale each coefficient
+            acc = [v * pow(m[1], i, p) * pow(e, d - i, p) for i, v in enumerate(nums)]
         else:
-            acc = _compose_horner(nums, m, e, p)
+            leaf = _split_leaf(nums, m, e, p)
+            if leaf:
+                acc = _compose_split(nums, m, e, p, [m], leaf)
+            else:
+                acc = _compose_horner(nums, m, e, p)
+        if step > 1 and acc:
+            spread = [0] * ((len(acc) - 1) * step + 1)
+            spread[::step] = acc
+            acc = spread
         return Poly._make(acc, self._den * e ** max(d, 0), self.field)
 
     def derivative(self) -> Poly:

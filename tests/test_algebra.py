@@ -18,6 +18,8 @@ from qgha import (
     sigma_pow,
     yx_expand,
 )
+from qgha import poly as poly_module
+from qgha.algebra import _times
 from qgha.errors import AlgebraMismatch, DegenerateAlgebra, FieldMismatch
 
 from conftest import QQ, F7, algebra, random_element, random_poly, rng_for
@@ -368,3 +370,65 @@ def test_product_through_a_65_coefficient_compose(field):
     product = h * x7
     assert product == Element.monomial(A, 7, sigma_pow(A.f, 7, Poly.h(field)), 0)
     assert product == oracle_multiply(h, x7)
+
+
+# Left terms that share k1 = 2; right terms of one grade i2 - k2 meet on one
+# key (s, t + k2), since y^k1 x^i2 has terms x^s y^(s - i2 + k1).
+_LEFT_KEYS = [(0, 2), (1, 2), (3, 2), (2, 1)]
+_RIGHT_KEYS = [(1, 1), (0, 0), (1, 0), (2, 1)]
+
+
+def _element_on(A, rng, keys):
+    polys = [random_poly(rng, A.field, max_deg=2, allow_zero=False) for _ in keys]
+    return Element(A, dict(zip(keys, polys)))
+
+
+def _shifted_keys(A, a, b):
+    """For each k1 of a: the keys (s, t + k2) of y^k1 * b, with repeats."""
+    return {
+        k1: [(s, t + k2) for (i2, k2) in b.terms for (s, t) in yx_expand(k1, i2, A).terms]
+        for _, k1 in a.terms
+    }
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        algebra(QQ, 2, [1, 0, 1], [0, 0, 0, 1]),  # f = h^2 + 1
+        algebra(F7, 3, [0, 0, 1], [0, 1, 1]),
+        algebra(QQ, 0, [1, 0, 1], [0, 1]),  # q = 0
+        algebra(F7, 4, [6], [0, 2, 1]),  # constant f
+        algebra(QQ, -1, [Fraction(1, 2)], [1, 0, 1]),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_multi_term_products_match_the_oracle(A, seed):
+    rng = random.Random(f"multi-{seed}")
+    a, b = _element_on(A, rng, _LEFT_KEYS), _element_on(A, rng, _RIGHT_KEYS)
+    # several left terms share k1, and several right terms meet on one key
+    ks = [k1 for _, k1 in a.terms]
+    assert len(set(ks)) < len(ks)
+    keys = _shifted_keys(A, a, b)[2]
+    assert len(set(keys)) < len(keys)
+    assert a * b == oracle_multiply(a, b)
+    assert b * a == oracle_multiply(b, a)
+
+
+def test_product_straightens_the_right_operand_once_per_k1(monkeypatch, alg_q2_h2p1_h3):
+    A = alg_q2_h2p1_h3
+    rng = random.Random("factored")
+    a, b = _element_on(A, rng, _LEFT_KEYS[1:]), _element_on(A, rng, _RIGHT_KEYS[:3])
+    keys = _shifted_keys(A, a, b)
+    # y^k1 * b once per distinct k1, then one product per left term and key
+    factored = sum(len(keys[k1]) for k1 in keys) + sum(len(set(keys[k1])) for _, k1 in a.terms)
+    termwise = 2 * sum(len(keys[k1]) for _, k1 in a.terms)
+    assert factored < termwise
+    orbits: dict = {}
+    expected = _times(A, a.terms, b.terms, orbits)
+    # with the orbit memo filled, every _int_conv call is a product in _times
+    calls = []
+    int_conv = poly_module._int_conv
+    monkeypatch.setattr(poly_module, "_int_conv", lambda x, y: calls.append(1) or int_conv(x, y))
+    assert _times(A, a.terms, b.terms, orbits) == expected
+    assert 0 < len(calls) <= factored

@@ -450,6 +450,67 @@ def test_compose_matches_horner_reference(args):
     assert (got._nums, got._den) == (want._nums, want._den)
 
 
+def _in_h_to_the(m, step) -> list:
+    """Coefficients of M(h^step), M given by its coefficients m."""
+    coeffs = [0] * ((len(m) - 1) * step + 1)
+    coeffs[::step] = m
+    return coeffs
+
+
+# compose takes out the gcd of the inner's exponents, so M(h^d) composes as
+# M and c h^d as a monomial; outers of 40 and 100 coefficients take the split
+@pytest.mark.parametrize("length", [1, 5, 40, 100])
+@pytest.mark.parametrize("step", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "field, m",
+    [
+        (QQ, [1, 1]),  # f = h^2 + 1 at step 2
+        (QQ, [0, 1]),
+        (QQ, [0, Fraction(-3, 4)]),
+        (QQ, [Fraction(2, 3), 0, Fraction(-1, 5)]),  # gcd 2 * step
+        (QQ, [2**15, 3, 1]),
+        (F5, [0, 1]),  # h^5, the Frobenius, at step 5
+        (F5, [3, 4, 2]),
+        (F257, [0, 200]),
+        (F257, [256, 3, 1]),
+        (F_BIG, [0, 2**60 + 5]),
+        (F_BIG, [2**60 + 5, 3, 2**59]),
+    ],
+    ids=lambda v: str(v) if isinstance(v, FieldSpec) else None,
+)
+def test_compose_with_an_inner_in_h_to_the_d(field, m, step, length):
+    rng = random.Random(f"stepped-{length}")
+    nums = [rng.randint(-300, 300) for _ in range(length - 1)] + [1]
+    outer = Poly([Fraction(v, 7) for v in nums] if field.is_rationals else nums, field)
+    inner = Poly(_in_h_to_the(m, step), field)
+    want = _reference_compose(outer, inner)
+    got = outer.compose(inner)
+    assert (got._nums, got._den) == (want._nums, want._den)
+
+
+def test_compose_runs_the_kernels_on_the_reduced_inner(monkeypatch):
+    seen = []
+    for name in ("_compose_horner", "_compose_split"):
+        kernel = getattr(poly_module, name)
+
+        def spy(nums, m, *rest, kernel=kernel, name=name):
+            seen.append((name, len(m)))
+            return kernel(nums, m, *rest)
+
+        monkeypatch.setattr(poly_module, name, spy)
+    outers = [Poly(range(1, n + 1), QQ) for n in (5, 40)]
+    # f = h^2 + 1 runs both kernels on the linear inner h + 1
+    for outer in outers:
+        outer.compose(P(1, 0, 1))
+    assert sorted(seen) == [("_compose_horner", 2), ("_compose_split", 2)]
+    # f = h^2 and f = 3 h^4 need no kernel
+    seen.clear()
+    for outer in outers:
+        outer.compose(P(0, 0, 1))
+        outer.compose(P(0, 0, 0, 0, 3))
+    assert seen == []
+
+
 @pytest.mark.parametrize("n, bits", [(200, 8), (200, 100), (40, 4), (300, 200)])
 def test_int_conv_at_the_lane_bound(n, bits):
     # equal extreme values make the middle coefficient n * max|a| * max|b|
@@ -510,6 +571,12 @@ def test_compose_with_wide_inner_numerators(field, inner, length):
         (QQ, [1, 0, 1], 4097, 2, False),  # ~8200-bit result coefficients
         (QQ, [1, 0, 1], 2049, 2400, False),  # sigma^11(h) for f = h^2 + 1
         (QQ, [2**15, 0, 1], 256, 2, False),
+        # linear inners, as compose leaves f = h^2 + c and f = h^2
+        (QQ, [1, 1], 250, 60, True),
+        (QQ, [1, 1], 3073, 1800, False),  # sigma^10(h^3) o (h^2 + 1)
+        (QQ, [0, 1], 4097, 2, True),
+        (QQ, [2**15, 1], 24, 2, True),
+        (QQ, [2**15, 1], 256, 2, False),
         (F17, [5, 3, 11], 4097, 4, True),
         (F_BIG, [2**60 + 5, 3, 2**59], 4097, 61, True),
     ],
