@@ -571,14 +571,14 @@ def test_compose_with_wide_inner_numerators(field, inner, length):
         (QQ, [1, 0, 1], 4097, 2, False),  # ~8200-bit result coefficients
         (QQ, [1, 0, 1], 2049, 2400, False),  # sigma^11(h) for f = h^2 + 1
         (QQ, [2**15, 0, 1], 256, 2, False),
+        (F17, [5, 3, 11], 4097, 4, True),
+        (F_BIG, [2**60 + 5, 3, 2**59], 4097, 61, True),
         # linear inners, as compose leaves f = h^2 + c and f = h^2
         (QQ, [1, 1], 250, 60, True),
         (QQ, [1, 1], 3073, 1800, False),  # sigma^10(h^3) o (h^2 + 1)
         (QQ, [0, 1], 4097, 2, True),
         (QQ, [2**15, 1], 24, 2, True),
         (QQ, [2**15, 1], 256, 2, False),
-        (F17, [5, 3, 11], 4097, 4, True),
-        (F_BIG, [2**60 + 5, 3, 2**59], 4097, 61, True),
     ],
 )
 def test_long_compose_path(field, inner, length, bits, split):
