@@ -310,17 +310,13 @@ def build_parser() -> _ArgumentParser:
 
 
 def run(argv) -> CommandResult:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
+        return ns.handler(ns)
     except _UsageError as exc:
         return CommandResult(EXIT_USAGE, error=f"usage error: {exc}")
     except SystemExit as exc:  # --help
         return CommandResult(exc.code or 0)
-    try:
-        return ns.handler(ns)
-    except _UsageError as exc:
-        return CommandResult(EXIT_USAGE, error=f"usage error: {exc}")
     except OSError as exc:
         return CommandResult(EXIT_PARSE, error=f"error: {exc}")
     except QghaError as exc:

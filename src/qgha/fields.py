@@ -290,4 +290,4 @@ def nth_roots(m: int, c: Scalar) -> set[Scalar]:
         return {field.scalar(r) for r in (root, -root) if r**m == v}
     from .poly import Poly, poly_roots  # poly imports this module
 
-    return poly_roots(Poly._make([-c.value] + [0] * (m - 1) + [1], 1, field))
+    return poly_roots(Poly([-c] + [0] * (m - 1) + [1], field))

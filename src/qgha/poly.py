@@ -6,8 +6,10 @@ over one denominator `_den`.  `_normal` keeps the form canonical: over F_p
 the numerators are residues in [0, p) and `_den` is 1; over Q, `_den` > 0
 and gcd(content, `_den`) is 1.  So equal polynomials have equal integers,
 and addition, multiplication and composition run one integer code path for
-both fields.  The public `coeffs`, a tuple of `Scalar`s, is built on first
-access and cached.  The zero polynomial has no numerators and degree
+both fields.  A `Scalar` is built only at the boundary, when a caller asks
+for one: `_scalar` turns one numerator into one, and `coeffs`, `lead`,
+`coeff` and `monomials` read through it on each call; `evaluate` composes
+with a constant inner.  The zero polynomial has no numerators and degree
 NEG_INF, which compares below every integer.
 
 Products of coefficient lists (`_int_conv`) run a schoolbook loop on short
@@ -245,7 +247,7 @@ def _normal(nums: list, den: int, p) -> tuple[list, int]:
 
 
 class Poly:
-    __slots__ = ("_nums", "_den", "field", "_coeffs")
+    __slots__ = ("_nums", "_den", "field")
 
     def __init__(self, coeffs, field: FieldSpec):
         values = [field.scalar(c).value for c in coeffs]
@@ -258,7 +260,6 @@ class Poly:
         self._nums = tuple(nums)
         self._den = den
         self.field = field
-        self._coeffs = None
 
     @classmethod
     def _make(cls, nums: list, den: int, field: FieldSpec) -> Poly:
@@ -266,17 +267,16 @@ class Poly:
         self._set(nums, den, field)
         return self
 
+    def _scalar(self, num: int) -> Scalar:
+        """num / _den as a Scalar of this field (over F_p, _den is 1)."""
+        field = self.field
+        return Scalar(Fraction(num, self._den) if field.is_rationals else num, field)
+
     @property
     def coeffs(self) -> tuple:
-        """The coefficients as Scalars, ascending, no trailing zeros."""
-        if self._coeffs is None:
-            field, den = self.field, self._den
-            if field.is_rationals:
-                values = [Fraction(n, den) for n in self._nums]
-            else:
-                values = self._nums
-            self._coeffs = tuple(Scalar(v, field) for v in values)
-        return self._coeffs
+        """The coefficients as Scalars, ascending, no trailing zeros; built
+        on each access."""
+        return tuple(map(self._scalar, self._nums))
 
     # -- constructors ----------------------------------------------------
 
@@ -308,16 +308,16 @@ class Poly:
     def lead(self) -> Scalar:
         if not self._nums:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self._scalar(self._nums[-1])
 
     def coeff(self, i: int) -> Scalar:
-        return self.coeffs[i] if 0 <= i < len(self._nums) else self.field.zero
+        return self._scalar(self._nums[i]) if 0 <= i < len(self._nums) else self.field.zero
 
     def monomials(self):
         """Yield (exponent, coefficient) for each nonzero coefficient, ascending."""
-        for j, c in enumerate(self.coeffs):
-            if self._nums[j]:
-                yield j, c
+        for j, n in enumerate(self._nums):
+            if n:
+                yield j, self._scalar(n)
 
     def single_monomial(self):
         """(coefficient, exponent) when exactly one coefficient is nonzero, else None."""
@@ -400,15 +400,16 @@ class Poly:
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
         rem = list(self.coeffs)
-        dd = len(other.coeffs) - 1
-        lead_inv = other.lead().inv()
+        divisor = other.coeffs
+        dd = len(divisor) - 1
+        lead_inv = divisor[-1].inv()
         quo = [self.field.zero] * max(len(rem) - dd, 0)
         for i in range(len(rem) - 1, dd - 1, -1):
             factor = rem[i] * lead_inv
             if factor.is_zero():
                 continue
             quo[i - dd] = factor
-            for j, c in enumerate(other.coeffs):
+            for j, c in enumerate(divisor):
                 rem[i - dd + j] = rem[i - dd + j] - factor * c
         return Poly(quo, self.field), Poly(rem, self.field)
 
@@ -433,11 +434,9 @@ class Poly:
     # -- evaluation and substitution --------------------------------------
 
     def evaluate(self, point: Scalar) -> Scalar:
-        point = self.field.scalar(point)
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        """self(point), as the composite with the constant inner point: a
+        constant inner runs the exact Horner of `compose` on integers."""
+        return self.compose(Poly.const(self.field.scalar(point))).coeff(0)
 
     def compose(self, inner: Poly) -> Poly:
         """self(inner(h)) on integers.
@@ -484,8 +483,7 @@ class Poly:
     # -- display -----------------------------------------------------------
 
     def __str__(self):
-        cs = self.coeffs
-        return _terms_str((cs[j], [_pow_str("h", j)]) for j in reversed(range(len(cs))) if cs[j])
+        return _terms_str((c, [_pow_str("h", j)]) for j, c in reversed([*self.monomials()]))
 
     def __repr__(self):
         return f"Poly({self})"
@@ -593,38 +591,35 @@ def _divisors(n: int) -> list[int]:
 def _rational_roots(p: Poly) -> set[Scalar]:
     field = p.field
     roots: set[Scalar] = set()
-    # p and its numerators differ by the constant 1/_den: same roots
-    ints = list(p._nums)
+    # candidates u/v from the primitive form of p / h^low: p and its
+    # numerators differ by the constant 1/_den, so they have the same roots
+    ints = p._nums
     low = 0
     while ints[low] == 0:
         low += 1
     if low:
         roots.add(field.zero)
-        ints = ints[low:]
-    if len(ints) == 1:
+    if low == len(ints) - 1:
         return roots
     content = gcd(*ints)
-    ints = [c // content for c in ints]
-    for u in _divisors(ints[0]):
-        for v in _divisors(ints[-1]):
+    for u in _divisors(ints[low] // content):
+        for v in _divisors(ints[-1] // content):
             if gcd(u, v) != 1:
                 continue
             for num in (u, -u):
-                cand = Fraction(num, v)
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.add(field.scalar(cand))
+                cand = field.scalar(Fraction(num, v))
+                if p.evaluate(cand).is_zero():
+                    roots.add(cand)
     return roots
 
 
 def poly_roots(p: Poly) -> set[Scalar]:
     """All ground-field roots of p != 0.
 
-    A linear p has the one root -c0/c1.  Otherwise, over Q: rational-root
-    theorem on the primitive integer form; over F_p: exhaustive evaluation
-    of the residues, guarded by the search capacity bound.
+    A linear p has the one root -c0/c1.  Otherwise, over Q: the candidates
+    of the rational-root theorem on the primitive integer form, each tested
+    with `evaluate`; over F_p: exhaustive evaluation of the residues on the
+    numerators, guarded by the search capacity bound.
     """
     if p.is_zero():
         raise ZeroPolynomial("root finding needs a nonzero polynomial")

@@ -106,10 +106,11 @@ def test_deep_nesting_is_a_syntax_error(A, levels):
     # past the bound the parser stops at the first '(' too many instead of
     # running into the interpreter's recursion limit
     text = "(" * levels + "x" + ")" * levels
-    start = time.perf_counter()
+    # CPU time of this process, so that load on the host does not count
+    start = time.process_time()
     with pytest.raises(ExprSyntaxError, match="nested parentheses") as info:
         parse_element_expr(text, A)
-    assert time.perf_counter() - start < 1.0
+    assert time.process_time() - start < 1.0
     assert info.value.position == MAX_NESTING
 
 

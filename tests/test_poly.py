@@ -683,3 +683,184 @@ def test_compose_large_degree_over_f17_is_fast():
     for t in (0, 1, 6, 16):
         t = F17.scalar(t)
         assert composed.evaluate(t) == outer.evaluate(inner.evaluate(t))
+
+
+# -- the Scalar boundary: evaluate, roots and the coefficient readers ------
+# `evaluate` composes with a constant inner, and `poly_roots` over Q tests
+# its candidates with `evaluate`, so both are checked here against
+# references that do not run on `compose`: a Horner loop on Scalars, and
+# sympy's rational roots.
+
+
+def _scalar_horner(p: Poly, point):
+    """p(point) by Horner on p's Scalar coefficients."""
+    acc = p.field.zero
+    for c in reversed(p.coeffs):
+        acc = acc * point + c
+    return acc
+
+
+def _assert_evaluates(p: Poly, point) -> None:
+    got, want = p.evaluate(point), _scalar_horner(p, point)
+    assert got == want
+    assert type(got.value) is type(want.value)
+
+
+_Q_POINTS = [0, 1, -1, Fraction(2, 3), Fraction(-7, 5), Fraction(10**20 + 1, 3**40)]
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [],
+        [Fraction(-3, 4)],
+        [0, 0, 5],
+        [Fraction(1, 2), -3, 0, Fraction(5, 6)],
+        [7, 0, 0, 0, 0, Fraction(-1, 9)],
+        [Fraction(3, 10**30), Fraction(-2, 7), 2**90],
+    ],
+)
+def test_evaluate_matches_scalar_horner_over_q(coeffs):
+    p = Poly(coeffs, QQ)
+    for x in _Q_POINTS:
+        _assert_evaluates(p, QQ.scalar(x))
+        assert p.evaluate(x) == p.evaluate(QQ.scalar(x))  # ints and Fractions coerce
+    assert p.evaluate(QQ.zero) == p.coeff(0)
+
+
+@given(p=_poly(QQ, max_len=8), point=st.fractions(max_denominator=50))
+@settings(max_examples=60, deadline=None)
+def test_evaluate_matches_scalar_horner_at_fractions(p, point):
+    _assert_evaluates(p, QQ.scalar(point))
+
+
+@given(cs=st.lists(st.integers(-14, 14), max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_evaluate_matches_scalar_horner_at_every_residue_of_f7(cs):
+    p = Poly(cs, F7)
+    for point in F7.elements():
+        _assert_evaluates(p, point)
+
+
+@given(
+    cs=st.lists(st.integers(-(2**70), 2**70), max_size=6),
+    point=st.integers(0, 2**61 - 2),
+)
+@settings(max_examples=60, deadline=None)
+def test_evaluate_matches_scalar_horner_over_f_big(cs, point):
+    p = Poly(cs, F_BIG)
+    for x in (0, 1, 2**61 - 2, point):
+        _assert_evaluates(p, F_BIG.scalar(x))
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F_BIG], ids=str)
+def test_evaluate_zero_and_constant_polynomials(field):
+    points = [field.zero, field.one, field.scalar(3), field.scalar(-2)]
+    for p in (Poly.zero(field), Poly([5], field), Poly([0, 0, 0], field)):
+        for point in points:
+            _assert_evaluates(p, point)
+            assert p.evaluate(point) == p.coeff(0)
+
+
+def test_evaluate_rejects_a_scalar_of_another_field():
+    with pytest.raises(FieldMismatch):
+        P(1, 2).evaluate(F7.scalar(3))
+    with pytest.raises(FieldMismatch):
+        Poly([1, 2], F7).evaluate(F5.scalar(1))
+    with pytest.raises(FieldMismatch):
+        Poly.zero(F7).evaluate(QQ.one)
+
+
+def _sympy_rational_roots(p: Poly) -> set:
+    return {QQ.scalar(Fraction(str(r))) for r in to_sympy(p).ground_roots()}
+
+
+def _from_factors(scale, factors) -> Poly:
+    """scale times the product of the polynomials given by coefficient lists."""
+    out = Poly.const(QQ.scalar(scale))
+    for coeffs in factors:
+        out = out * Poly(coeffs, QQ)
+    return out
+
+
+@pytest.mark.parametrize(
+    "scale, factors",
+    [
+        # fractional roots 1/2, -2/3 and -5/4, and an irreducible factor
+        (1, [[-1, 2], [2, 3], [5, 4], [1, 0, 1]]),
+        (1, [[-1, 2], [-1, 2], [Fraction(1, 3), 1]]),
+        # zero roots of multiplicity 2, 3 and 5
+        (1, [[0, 1], [0, 1], [-2, 0, 1]]),
+        (1, [[0, 1]] * 3 + [[-4, 5]]),
+        (Fraction(2, 3), [[0, 1]] * 5),
+        # non-unit content, integral and rational
+        (12, [[-3, 1], [1, 4]]),
+        (Fraction(10, 3), [[6, 9], [-2, 1], [0, 1], [0, 1]]),
+        (30, [[-7, 1], [1, 0, 1]]),
+        # negative leading coefficient
+        (-1, [[1, -2], [5, 1], [-2, 0, 1]]),
+        (-6, [[0, 1], [0, 1], [Fraction(-3, 7), 1]]),
+        (Fraction(-5, 2), [[-1, 3], [-1, 3], [1, 1, 1]]),
+        # no rational roots
+        (1, [[-2, 0, 1]]),
+        (-9, [[1, 0, 1], [3, 1, 0, 2]]),
+    ],
+)
+def test_rational_roots_match_sympy(scale, factors):
+    p = _from_factors(scale, factors)
+    roots = poly_roots(p)
+    assert roots == _sympy_rational_roots(p)
+    for root in roots:
+        assert _scalar_horner(p, root).is_zero()
+
+
+@given(
+    roots=st.lists(
+        st.tuples(st.integers(-12, 12), st.integers(1, 12)), max_size=4
+    ),
+    zeros=st.integers(0, 3),
+    other=st.sampled_from([[1], [1, 0, 1], [-2, 0, 1], [1, 1, 1], [3, 0, 0, 2]]),
+    scale=st.fractions(min_value=-20, max_value=20, max_denominator=9).filter(bool),
+)
+@settings(max_examples=60, deadline=None)
+def test_rational_roots_of_products_match_sympy(roots, zeros, other, scale):
+    factors = [[-u, v] for u, v in roots] + [[0, 1]] * zeros + [other]
+    p = _from_factors(scale, factors)
+    if p.degree() < 1:
+        return
+    assert poly_roots(p) == _sympy_rational_roots(p)
+
+
+@pytest.mark.parametrize(
+    "field, coeffs",
+    [
+        (QQ, [Fraction(1, 6), 0, Fraction(-5, 4), 0, 0, 3]),
+        (QQ, [0, 0, Fraction(7, 3)]),
+        (QQ, [4, -2]),
+        (QQ, []),
+        (F7, [3, 0, -1, 0, 12]),
+        (F7, [0, 14, 0, 5]),
+        (F_BIG, [2**61, 0, -5]),
+    ],
+)
+def test_coefficient_readers_agree_with_coeffs(field, coeffs):
+    p = Poly(coeffs, field)
+    cs = p.coeffs
+    # coeffs is the input in the field, without trailing zeros
+    assert cs == tuple(field.scalar(c) for c in coeffs[: len(cs)])
+    assert all(field.scalar(c).is_zero() for c in coeffs[len(cs) :])
+    for i in range(-3, len(cs) + 3):
+        want = cs[i] if 0 <= i < len(cs) else field.zero
+        got = p.coeff(i)
+        assert got == want
+        assert type(got.value) is type(want.value)
+    if cs:
+        assert p.lead() == cs[-1]
+    else:
+        with pytest.raises(ZeroPolynomial):
+            p.lead()
+    nonzero = [(j, c) for j, c in enumerate(cs) if not c.is_zero()]
+    assert list(p.monomials()) == nonzero
+    assert p.single_monomial() == (
+        (nonzero[0][1], nonzero[0][0]) if len(nonzero) == 1 else None
+    )
