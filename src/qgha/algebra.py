@@ -16,8 +16,10 @@ Products straighten in `_times`, which `Element.__mul__` and the growth
 experiment both call; each keeps one memo of sigma-orbits, per product or
 per run, so a polynomial met again is not composed with f again.  `_times`
 multiplies by distributivity: y^k times the right operand is straightened
-once per distinct k among the left terms, with right terms that meet on
-one monomial summed, and each left term then multiplies into that sum.  The
+once per distinct k, with right terms that meet on one monomial summed, and
+each left term then multiplies into that row.  A product builds its rows
+afresh; the growth experiment keeps one set per generator x, y, h for the
+whole run, since its right operand is always one of the three.  The
 normal forms of y^b x^c that `_times` reads come from the same loop and the
 same memo: y x^c in closed form, with sigma^j(g) read from g's orbit, and
 y^b x^c as y times y^{b-1} x^c.  Every substitution of f goes through
@@ -182,8 +184,9 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check(other)
-            # sigma^s(p) recurs across straightening terms: one orbit memo per product
-            return Element(self.algebra, _times(self.algebra, self.terms, other.terms, {}))
+            # sigma^s(p) recurs across straightening terms: one orbit memo and
+            # one set of rows per product
+            return Element(self.algebra, _times(self.algebra, self.terms, other.terms, {}, {}))
         if isinstance(other, (Scalar, int)):
             return self.scale(other)
         return NotImplemented
@@ -289,7 +292,7 @@ def _yx_terms(algebra: AlgebraParams, b: int, c: int, orbits: dict) -> dict:
             memo[1, n] = {key: p for key, p in terms.items() if not p.is_zero()}
     for bb in range(2, b + 1):
         if (bb, c) not in memo:
-            memo[bb, c] = _times(algebra, {(0, 1): one}, memo[bb - 1, c], orbits)
+            memo[bb, c] = _times(algebra, {(0, 1): one}, memo[bb - 1, c], orbits, {})
     return memo[b, c]
 
 
@@ -304,15 +307,20 @@ def yx_expand(b: int, c: int, algebra: AlgebraParams) -> Element:
     return Element(algebra, dict(_yx_terms(algebra, b, c, {})))
 
 
-def _times(algebra: AlgebraParams, terms: dict, right_terms: dict, orbits: dict) -> dict:
+def _times(
+    algebra: AlgebraParams, terms: dict, right_terms: dict, orbits: dict, rows: dict
+) -> dict:
     """Terms map of terms * right_terms, nonzero polynomials only.
 
     By distributivity, x^i1 p1 y^k1 * right = x^i1 p1 (y^k1 * right).  The
     normal form R of y^k1 * right, sum of x^s w sigma^t(p2) y^(t+k2) over
     the right terms x^i2 p2 y^k2 and the terms x^s w y^t of y^k1 x^i2, is
-    built once per distinct k1, with right terms that land on one key
-    summed first.  Each left term then costs one product sigma^s(p1) * r
-    per term x^s r y^u of R.
+    built once per distinct k1 per call, or per run when the caller keeps
+    `rows`, with right terms that land on one key summed first.
+    `rows` maps k1 to R and must only ever meet one right operand; its
+    rows are read-only once built.  Each left term then costs one product
+    sigma^s(p1) * r per term x^s r y^u of R, and looks up its own orbit only
+    for s >= 1.
     `orbits` maps a polynomial's (_nums, _den) to its sigma-orbit
     [p, sigma(p), ...], which `_sigma` extends in place.  Both operands are
     served from it, so a caller that keeps one memo across many products
@@ -322,19 +330,25 @@ def _times(algebra: AlgebraParams, terms: dict, right_terms: dict, orbits: dict)
     """
     f = algebra.f
     out: dict[tuple[int, int], Poly] = {}
-    shifted: dict[int, dict] = {}  # k1 -> terms map of y^k1 * right_terms
     for (i1, k1), p1 in terms.items():
-        if k1 not in shifted:
-            row = shifted[k1] = {}
+        row = rows.get(k1)
+        if row is None:
+            row = rows[k1] = {}
             for (i2, k2), p2 in right_terms.items():
                 right = _orbit(orbits, p2)
                 for (s, t), w in _yx_terms(algebra, k1, i2, orbits).items():
                     key, p = (s, t + k2), w * _sigma(f, orbits, right, t)
                     cur = row.get(key)
                     row[key] = p if cur is None else cur + p
-        left = _orbit(orbits, p1)
-        for (s, u), r in shifted[k1].items():
-            key, p = (i1 + s, u), _sigma(f, orbits, left, s) * r
+        left = None
+        for (s, u), r in row.items():
+            if s:
+                if left is None:
+                    left = _orbit(orbits, p1)
+                p = _sigma(f, orbits, left, s) * r
+            else:
+                p = p1 * r
+            key = (i1 + s, u)
             cur = out.get(key)
             if cur is not None:
                 p = cur + p

@@ -104,7 +104,7 @@ def _cmd_analyze(ns) -> CommandResult:
 
     algebra = load_algebra(ns.file)
     domain = is_domain(algebra)
-    noetherian = is_noetherian(algebra)
+    noetherian = is_noetherian(algebra, witness_depth=None)  # the verdict only
     lines = [
         f"domain: {_bool(domain.verdict)} ({domain.reason})",
         f"noetherian: {_bool(noetherian.verdict)} ({noetherian.reason.value})",

@@ -13,6 +13,7 @@ over Q.  The characteristic matters only where roots are searched.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .capacity import check_search
@@ -25,6 +26,8 @@ from .errors import (
     ZeroInput,
 )
 
+# CPython 3.11+ refuses str(int) past this many digits (0: no limit)
+_get_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 # Miller-Rabin on the primes 2..41 is exact for every n below this bound
 # (Sorenson and Webster, 2015).
@@ -228,7 +231,16 @@ class Scalar:
         return self.value
 
     def __str__(self):
-        return str(self.value)
+        # every printed number passes here, so answers print whole past
+        # CPython's int-to-str digit limit (3.11+); parsing keeps the limit
+        saved = _get_max_str_digits()
+        if not saved:
+            return str(self.value)
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(self.value)
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     def __repr__(self):
         return f"Scalar({self.value!r}, {self.field})"

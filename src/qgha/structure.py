@@ -114,19 +114,21 @@ def noetherian_witness_check(algebra: AlgebraParams, depth: int) -> WitnessChain
     return WitnessChain(beta=beta, depth=depth, checks=checks)
 
 
-def is_noetherian(algebra: AlgebraParams, witness_depth: int = 5) -> NoetherianReport:
+def is_noetherian(
+    algebra: AlgebraParams, witness_depth: Optional[int] = 5
+) -> NoetherianReport:
     """Noetherian exactly when deg f = 1 and q != 0.
 
     For deg f >= 2 with a ground-field fixed point of f, the report carries
-    the ideal-chain witness as evidence; the verdict itself comes from the
-    closed criterion.
+    the ideal-chain witness of depth `witness_depth` as evidence; None
+    builds no witness.  The verdict itself comes from the closed criterion.
     """
     deg_f = algebra.f.degree()
     if deg_f == 1 and not algebra.q.is_zero():
         return NoetherianReport(True, NoetherianReason.DEG_F_1_AND_Q_NONZERO)
     if deg_f != 1:
         witness = None
-        if deg_f >= 2:
+        if deg_f >= 2 and witness_depth is not None:
             try:
                 witness = noetherian_witness_check(algebra, witness_depth)
             except NoFixedPointInField:
@@ -265,7 +267,11 @@ def _integer_row(terms: dict) -> dict:
     """Coordinates of a terms map on the normal monomials x^i h^j y^k, times
     the lcm of its denominators (1 over F_p, where they are residues).
 
-    A monomial is keyed (i+j+k, i, j, k), so max() of a row is its pivot.
+    A monomial is keyed by its rank among the triples (d, i, j), d = i+j+k:
+    d(d+1)(2d+1)/6 counts the pairs 0 <= i, j <= e for e < d, and
+    i(d+1) + j orders those of degree d.  The rank rises strictly with
+    (i+j+k, i, j, k), since k = d - i - j, so max() of a row is its pivot;
+    and one int needs no field width, whatever the degree cap.
     """
     den = lcm(*(p._den for p in terms.values()))
     row = {}
@@ -273,7 +279,8 @@ def _integer_row(terms: dict) -> dict:
         scale = den // p._den
         for j, v in enumerate(p._nums):
             if v:
-                row[(i + j + k, i, j, k)] = v * scale
+                d = i + j + k
+                row[d * (d + 1) * (2 * d + 1) // 6 + i * (d + 1) + j] = v * scale
     return row
 
 
@@ -282,12 +289,15 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
 
     Maintains an echelonized basis in coordinates indexed by the normal
     monomials x^i h^j y^k, ordered by (i+j+k, then lex (i, j, k)) with the
-    largest monomial as pivot.  Each step right-multiplies the previous
-    step's novel products by each generator in `_times`, reduces the integer
-    coordinate row against the echelon and inserts what is new, so dims are
+    largest monomial as pivot; `_integer_row` keys each by one int that
+    keeps this order.  Each step right-multiplies the previous step's novel
+    products by each generator in `_times`, reduces the integer coordinate
+    row against the echelon and inserts what is new, so dims are
     deterministic.  One sigma-orbit memo serves the whole run: a frontier
     element and its products hold the same polynomials, and sigma^k(h)
     lives there too, so each distinct polynomial is composed with f once.
+    Each generator keeps its rows y^k1 * generator for the whole run too, so
+    a run straightens at most 3 * (max_n + 1) of them.
     Rows are scaled freely, which leaves their span unchanged: over Q they
     are primitive integer vectors reduced by cross-multiplying, over F_p
     residues with pivot 1.
@@ -297,7 +307,7 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
     check_search(max_n, "growth horizon")
     field = algebra.field
     p = field.p
-    echelon: dict[tuple, dict] = {}
+    echelon: dict[int, dict] = {}
 
     def reduce_insert(row: dict) -> bool:
         while row:
@@ -340,13 +350,13 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
     reduce_insert(_integer_row(unit))
     dims = [len(echelon)]
     frontier = [unit]
-    gens = ({(1, 0): one}, {(0, 1): one}, {(0, 0): Poly.h(field)})
+    gens = [(g, {}) for g in ({(1, 0): one}, {(0, 1): one}, {(0, 0): Poly.h(field)})]
     orbits: dict = {}
     for _ in range(max_n):
         new_frontier = []
         for terms in frontier:
-            for right in gens:
-                candidate = _times(algebra, terms, right, orbits)
+            for right, rows in gens:
+                candidate = _times(algebra, terms, right, orbits, rows)
                 if reduce_insert(_integer_row(candidate)):
                     new_frontier.append(candidate)
         dims.append(len(echelon))

@@ -168,6 +168,8 @@ def subcommand_calls():
         ):
             calls.append(["convert", "--from-gdua", v, r, s, gamma, "--field", field])
     calls.append(["convert", "--from-gdua", "1,1/2", "-5/2", "1/3", "-1"])
+    # f = h^2 + 10^1999: the answer's coefficients pass 4300 digits
+    calls.append(["mul", "@q2_h2pbig_h.json", "h", "x^3"])
     return calls
 
 

@@ -425,10 +425,10 @@ def test_product_straightens_the_right_operand_once_per_k1(monkeypatch, alg_q2_h
     termwise = 2 * sum(len(keys[k1]) for _, k1 in a.terms)
     assert factored < termwise
     orbits: dict = {}
-    expected = _times(A, a.terms, b.terms, orbits)
+    expected = _times(A, a.terms, b.terms, orbits, {})
     # with the orbit memo filled, every _int_conv call is a product in _times
     calls = []
     int_conv = poly_module._int_conv
     monkeypatch.setattr(poly_module, "_int_conv", lambda x, y: calls.append(1) or int_conv(x, y))
-    assert _times(A, a.terms, b.terms, orbits) == expected
+    assert _times(A, a.terms, b.terms, orbits, {}) == expected
     assert 0 < len(calls) <= factored

@@ -1,5 +1,7 @@
 import inspect
 import json
+import re
+import resource
 import subprocess
 import sys
 import time
@@ -71,6 +73,23 @@ def test_analyze_high_degree_f_is_fast(tmp_path):
     assert time.perf_counter() - start < 5.0
     assert result.exit_code == 0
     assert "noetherian: false (deg f != 1)" in result.payload
+
+
+def test_analyze_asks_for_no_witness(tmp_path):
+    # f - h = h^2 - h - 10^20: the Noetherian witness would look for a fixed
+    # point among the divisors of 10^20, by trial division up to 10^10
+    path = write_algebra(
+        tmp_path,
+        "big_root.json",
+        {"field": {"type": "Q"}, "q": "2", "f": [str(-(10**20)), "0", "1"], "g": ["0", "1"]},
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgha", "analyze", path],
+        capture_output=True, text=True, env=child_env(),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_CPU, (3, 3)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "noetherian: false (deg f != 1)" in proc.stdout
 
 
 def test_analyze_scalars_only_center(q2_h2_h):
@@ -363,6 +382,21 @@ def test_oversized_integer_literals_are_input_errors(tmp_path, q1_h2_h):
         result = run(argv)
         assert (result.exit_code, result.payload) == (2, ""), argv[:2]
         assert message in result.error
+
+
+def test_answers_past_the_digit_limit_print(tmp_path):
+    # each literal has 2000 digits; x^3 composes f three times, so the
+    # answer's coefficients pass CPython's 4300-digit str() limit (3.11+)
+    path = write_algebra(
+        tmp_path,
+        "big.json",
+        {"field": {"type": "Q"}, "q": "2", "f": [str(10**1999), "0", "1"], "g": ["0", "1"]},
+    )
+    result = run(["mul", path, "h", "x^3"])
+    assert (result.exit_code, result.error) == (0, "")
+    assert max(len(digits) for digits in re.findall(r"\d+", result.payload)) > 4300
+    # only printing lifts the limit, and it is back afterwards
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == _DIGIT_LIMIT
 
 
 def test_stray_value_error_is_an_internal_error(q1_h2_h, monkeypatch):

@@ -27,6 +27,7 @@ from qgha import (
     sigma_pow,
     solve_sigma_q,
 )
+import qgha.algebra
 from qgha.algebra import _times
 from qgha.capacity import search_cap
 from qgha.errors import (
@@ -454,7 +455,7 @@ def test_times_generator_matches_element_product(seed, index):
     for _ in range(2):
         e = random_element(rng, A)
         for gen in gens:
-            product = _times(A, e.terms, gen.terms, orbits)
+            product = _times(A, e.terms, gen.terms, orbits, {})
             assert Element(A, product) == e * gen
             assert all(not p.is_zero() for p in product.values())
 
@@ -479,6 +480,23 @@ def test_gk_run_composes_each_polynomial_once(monkeypatch):
     assert composed and len(composed) == len(set(composed))
 
 
+def test_gk_run_builds_each_generator_row_once(monkeypatch):
+    A = load_algebra(os.path.join(CORPUS, "q2_h2p1_h3.json"))
+    dims = (1, 4, 13, 33, 76, 161, 323, 622)
+    assert gk_dimension_sequence(A, 7).dims == dims
+    # A's y^b x^c memo is now warm, so each _yx_terms call builds one row
+    yx_terms = qgha.algebra._yx_terms
+    calls: list = []
+    monkeypatch.setattr(
+        qgha.algebra, "_yx_terms", lambda *args: calls.append(args[1:3]) or yx_terms(*args)
+    )
+    assert gk_dimension_sequence(A, 7).dims == dims
+    # at most one row y^k1 * generator per generator and k1 <= 7, kept for
+    # the run: x's rows read y^k1 x, y's and h's read y^k1
+    assert 0 < len(calls) <= 3 * 8
+    assert all(calls.count(call) == (1 if call[1] else 2) for call in calls)
+
+
 def test_gk_matches_the_recorded_growth_pool():
     with open(os.path.join(CORPUS, "growth_pool.json"), encoding="utf-8") as handle:
         pool = json.load(handle)
@@ -494,15 +512,30 @@ def test_gk_q2_h2p1_h3_to_n9():
     assert gk_dimension_sequence(A, 9).dims == dims
 
 
+def _rank(i, j, k):
+    """Rank of x^i h^j y^k among the triples (d, i, j), d = i+j+k."""
+    d = i + j + k
+    return d * (d + 1) * (2 * d + 1) // 6 + i * (d + 1) + j
+
+
 def test_integer_row_scales_by_the_denominator_lcm():
     terms = {
         (1, 1): Poly([0, Fraction(1, 2)], QQ),
         (0, 0): Poly([Fraction(-5, 4), 0, Fraction(2, 3)], QQ),
     }
-    # keys (i+j+k, i, j, k) for x^i h^j y^k; lcm(2, 12) = 12
-    assert _integer_row(terms) == {(3, 1, 1, 1): 6, (0, 0, 0, 0): -15, (2, 0, 2, 0): 8}
-    assert _integer_row({(0, 2): Poly([3, 0, 6], F7)}) == {(2, 0, 0, 2): 3, (4, 0, 2, 2): 6}
+    # x^i h^j y^k is keyed by its rank; lcm(2, 12) = 12
+    assert _integer_row(terms) == {_rank(1, 1, 1): 6, _rank(0, 0, 0): -15, _rank(0, 2, 0): 8}
+    assert _integer_row({(0, 2): Poly([3, 0, 6], F7)}) == {_rank(0, 0, 2): 3, _rank(0, 2, 2): 6}
     assert _integer_row({}) == {}
+    # the keys rise strictly in (i+j+k, i, j, k) order, so max() is the pivot
+    triples = sorted(
+        (i + j + k, i, j, k) for i, j, k in itertools.product(range(7), repeat=3) if i + j + k <= 6
+    )
+    keys = [
+        next(iter(_integer_row({(i, k): Poly([0] * j + [1], QQ)}))) for _, i, j, k in triples
+    ]
+    assert keys == [_rank(i, j, k) for _, i, j, k in triples]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_gk_zero_horizon():
