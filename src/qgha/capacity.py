@@ -32,10 +32,6 @@ DEGREE_CAP = _OVERRIDE or DEFAULT_DEGREE_CAP
 SEARCH_CAP = _OVERRIDE or DEFAULT_SEARCH_CAP
 
 
-def search_cap() -> int:
-    return SEARCH_CAP
-
-
 def check_degree(degree: int) -> None:
     if degree > DEGREE_CAP:
         raise CapacityExceeded(f"degree {degree} exceeds capacity bound {DEGREE_CAP}")

@@ -7,9 +7,9 @@ one witness (u, v, c): the affine map psi(h) = u*h + v and the rescaling c,
 with f' = psi o f o psi^{-1} and g' = c * (g o psi^{-1}).  `apply_witness`
 is the one place a witness acts, and the three transforms are named
 witnesses: (1, alpha, 1), (lam, 0, 1) and (1, 0, lam*mu).  `_witnesses`
-lists every witness from one presentation to another, with psi solved by
-`_affine_maps`: the decider returns the first, and the automorphisms are
-the witnesses from a presentation to itself.
+lists every witness from one presentation to another, each checked on the
+defining relations by `_relations_hold`: the decider returns the first,
+and the automorphisms are the witnesses from a presentation to itself.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ def apply_witness(algebra: AlgebraParams, witness: IsoWitness) -> AlgebraParams:
 
 
 def _affine_maps(f: Poly, f2: Poly):
-    """Every (u, v) with f2(u*h + v) = u*f(h) + v, in ascending (u, v) order;
-    deg f = deg f2 = n >= 2.
+    """Candidates (u, v) for f2(u*h + v) = u*f(h) + v, in ascending (u, v)
+    order; deg f = deg f2 = n >= 2.  Every solution is among them.
 
     The leading coefficients force u^(n-1) = lead(f)/lead(f2).  For each u
     the h^k coefficient of f2(u*h + v) - u*f(h) - v is the polynomial
@@ -108,7 +108,7 @@ def _affine_maps(f: Poly, f2: Poly):
     Walking k = n-1, ..., 0, the first C_k not identically zero gives the
     candidates for v: its roots, or none when it is constant.  C_0 has
     degree n, so the walk ends; when n != 0 in the field C_(n-1) is already
-    linear.  Each candidate is verified by full composition.
+    linear.  `_witnesses` checks each candidate on the defining relations.
     """
     field = f.field
     n = f.degree()
@@ -122,34 +122,53 @@ def _affine_maps(f: Poly, f2: Poly):
         if c_k.degree() < 1:  # a nonzero constant: no v for this u
             continue
         for v in sorted(poly_roots(c_k), key=Scalar.sort_key):
-            if affine_conjugate(f, u, v) == f2:
-                yield u, v
+            yield u, v
+
+
+def _relation_residues(a: AlgebraParams, b: AlgebraParams, w: IsoWitness):
+    """The relations hx - x*f(h), yh - f(h)*y, yx - q*xy - g(h) of a, one at
+    a time, pushed into b by h -> (h' - v)/u, x -> x', y -> y'/c.
+
+    In b they are x'*D, D*y'/c and (q' - q)*x'y'/c + E, with
+    D = psi^{-1} o f' - f o psi^{-1} and E = g'/c - g o psi^{-1}: all three
+    vanish exactly when w is a witness from a to b.
+    """
+    u, v, c = w
+    inv = Poly([-v / u, u.inv()], b.field)
+    h = Element.from_poly(b, inv)
+    x, y = b.x(), c.inv() * b.y()
+    f_h = Element.from_poly(b, a.f.compose(inv))
+    yield h * x - x * f_h
+    yield y * h - f_h * y
+    yield y * x - a.q * (x * y) - Element.from_poly(b, a.g.compose(inv))
+
+
+def _relations_hold(a: AlgebraParams, b: AlgebraParams, w: IsoWitness) -> bool:
+    """True when each relation of `_relation_residues` vanishes in b."""
+    return not any(r.terms for r in _relation_residues(a, b, w))
 
 
 def _witnesses(a: AlgebraParams, b: AlgebraParams):
     """Every IsoWitness from a to b in ascending (u, v) order, for
     presentations with the same q, deg f >= 2 and deg g.
 
-    The affine maps psi(h) = u*h + v with f' o psi = psi o f come from
-    `_affine_maps`; each whose pull-back of g rescales onto g' gives one.
+    Each psi(h) = u*h + v from `_affine_maps` fixes c by the leading
+    coefficients, c = lead(g')*u^(deg g)/lead(g) (1 when g = 0), and is kept
+    when `_relations_hold` passes.
     """
     for u, v in _affine_maps(a.f, b.f):
-        if a.g.is_zero():
-            yield IsoWitness(u, v, a.field.one)
-            continue
-        pulled = _pull_back(a.g, u, v)
-        c = b.g.lead() / pulled.lead()
-        if c * pulled == b.g:
+        c = a.field.one if a.g.is_zero() else b.g.lead() * u ** a.g.degree() / a.g.lead()
+        if _relations_hold(a, b, IsoWitness(u, v, c)):
             yield IsoWitness(u, v, c)
 
 
 def is_isomorphic(a: AlgebraParams, b: AlgebraParams):
-    """Decide isomorphism for q != 0 and deg f >= 2; returns a verified
-    IsoWitness or None.
+    """Decide isomorphism for q != 0 and deg f >= 2; returns an IsoWitness
+    verified on the defining relations, or None.
 
     q, deg f and deg g are isomorphism invariants in this regime, so
     mismatches short-circuit; otherwise the witness is the first of
-    `_witnesses(a, b)`.
+    `_witnesses(a, b)`, which has passed `_relations_hold`.
     """
     if a.field != b.field:
         raise FieldMismatch("presentations over different fields")
@@ -193,8 +212,8 @@ def automorphism_group(algebra: AlgebraParams) -> AutGroupDescription:
     """Compute the automorphism group for deg f >= 2 and q != 0.
 
     The finite part is the (u, v) of every witness from the algebra to
-    itself (`_witnesses`), in every characteristic; its c is forced to
-    u^(deg g), so g(u*h + v) = u^(deg g)*g.
+    itself (`_witnesses`, which checks the relations), in every
+    characteristic; its c is forced to u^(deg g): g(u*h + v) = u^(deg g)*g.
     For char = 0 or char > deg f it is cyclic of order dividing deg f - 1;
     for 0 < char <= deg f (`char_caveat`) it may be non-abelian.
     """
@@ -220,25 +239,12 @@ def automorphism_group(algebra: AlgebraParams) -> AutGroupDescription:
 
 
 def automorphism_preserves_relations(algebra: AlgebraParams, pair) -> bool:
-    """Re-verify a finite-part pair through the multiplication engine.
-
-    Pushes (a, b) to the generator map h -> a*h + b, x -> x,
-    y -> a^(deg g)*y (y -> y when g = 0) and checks that all three defining
-    relations still hold exactly.
-    """
-    a, b = pair
+    """True when the pair (u, v) with c = u^(deg g), or c = 1 when g = 0, is
+    a witness from the algebra to itself: `_relations_hold` with a = b."""
     field = algebra.field
-    sub = Poly([b, a], field)
-    phi_h = Element.from_poly(algebra, sub)
-    phi_x = algebra.x()
-    scale = field.one if algebra.g.is_zero() else a ** algebra.g.degree()
-    phi_y = scale * algebra.y()
-    f_img = Element.from_poly(algebra, algebra.f.compose(sub))
-    g_img = Element.from_poly(algebra, algebra.g.compose(sub))
-    rel_hx = phi_h * phi_x - phi_x * f_img
-    rel_yh = phi_y * phi_h - f_img * phi_y
-    rel_yx = phi_y * phi_x - algebra.q * (phi_x * phi_y) - g_img
-    return rel_hx.is_zero() and rel_yh.is_zero() and rel_yx.is_zero()
+    u, v = (field.scalar(s) for s in pair)
+    c = field.one if algebra.g.is_zero() else u ** algebra.g.degree()
+    return _relations_hold(algebra, algebra, IsoWitness(u, v, c))
 
 
 class GduaPresentation(NamedTuple):

@@ -13,10 +13,10 @@ Subcommands:
     noeth-witness FILE [--depth N]  ideal-chain witness (JSON)
     convert ...                     down-up / generalized down-up conversions
 
-Exit codes: 0 success, 1 usage, 2 input parsing, 3 precondition or regime,
-4 capacity, 5 internal error (a result that failed its own certificate, or
-any bare ValueError, which no input error raises);
-each QghaError subclass declares its own as `exit_code`.
+Exit codes: 0 success, 1 usage; every other failure exits with the
+`exit_code` of its `errors.QghaError` subclass, which that class documents.
+A file that cannot be read exits as a SchemaError, and a bare ValueError,
+which no input error raises, as an InternalError.
 Identical inputs produce byte-identical outputs.  The QGHA_CAPACITY
 environment variable overrides the degree/search bound; it is read once, at
 start-up.
@@ -31,12 +31,11 @@ import argparse
 import sys
 from collections import namedtuple
 
-from .errors import InternalError, QghaError
+from .errors import InternalError, QghaError, SchemaError
 from .serial import load_algebra
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_PARSE = 2
 
 
 class _UsageError(Exception):
@@ -318,7 +317,7 @@ def run(argv) -> CommandResult:
     except SystemExit as exc:  # --help
         return CommandResult(exc.code or 0)
     except OSError as exc:
-        return CommandResult(EXIT_PARSE, error=f"error: {exc}")
+        return CommandResult(SchemaError.exit_code, error=f"error: {exc}")
     except QghaError as exc:
         return CommandResult(exc.exit_code, error=f"error: {exc}")
     except ValueError as exc:  # no input error is a bare ValueError

@@ -13,7 +13,7 @@ A leading '-' binds to its atom, as a scalar's sign does: "-x^2" is
 
 Parsing builds a small syntax tree and counts the words it expands to
 (sums add, products multiply, atoms are one word), raising CapacityExceeded
-as soon as a count passes search_cap().  Only a fully parsed, in-bound tree
+as soon as a count passes SEARCH_CAP.  Only a fully parsed, in-bound tree
 is evaluated, with the normal-form arithmetic of `Element`.
 
 Parentheses nest at most MAX_NESTING deep, well inside the interpreter's

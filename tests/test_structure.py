@@ -29,7 +29,7 @@ from qgha import (
 )
 import qgha.algebra
 from qgha.algebra import _times
-from qgha.capacity import search_cap
+from qgha import capacity
 from qgha.errors import (
     CapacityExceeded,
     NoFixedPointInField,
@@ -96,6 +96,17 @@ def test_witness_chain_shifted_fixed_point():
     assert is_noetherian(A).witness is not None
 
 
+def test_witness_chain_divides_nothing(monkeypatch):
+    # both facts hold by construction once beta is found, so no division runs
+    def no_division(self, other):
+        raise AssertionError("the witness divided a polynomial")
+
+    monkeypatch.setattr(Poly, "__divmod__", no_division)
+    chain = noetherian_witness_check(algebra(QQ, 1, [2, -2, 1], [0, 1]), depth=3)
+    assert chain.beta == QQ.one
+    assert chain.checks == tuple((n, True, True) for n in range(4))
+
+
 def _composed_divisibility(A, beta, depth):
     """Reference: sigma^k(h) mod the shifted f, by explicit composition."""
     field = A.field
@@ -140,7 +151,7 @@ def test_witness_chain_errors():
 
 def test_witness_depth_bound():
     A = algebra(QQ, 1, [0, 0, 1], [0, 1])
-    cap = search_cap()
+    cap = capacity.SEARCH_CAP
     start = time.perf_counter()
     chain = noetherian_witness_check(A, depth=cap)
     assert time.perf_counter() - start < 5.0
