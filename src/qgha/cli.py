@@ -32,7 +32,7 @@ import sys
 from collections import namedtuple
 
 from .errors import InternalError, QghaError, SchemaError
-from .serial import load_algebra
+from .serial import json_text, load_algebra
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,12 +73,6 @@ def _int_at_least(low: int):
 CommandResult = namedtuple(
     "CommandResult", "exit_code payload note error", defaults=("", "", "")
 )
-
-
-def _json(data) -> str:
-    import json
-
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def _bool(value: bool) -> str:
@@ -154,7 +148,7 @@ def _cmd_iso(ns) -> CommandResult:
     witness = is_isomorphic(left, right)
     if witness is None:
         return CommandResult(EXIT_OK, "not isomorphic\n")
-    return CommandResult(EXIT_OK, _json(witness.to_dict()))
+    return CommandResult(EXIT_OK, json_text(witness.to_dict()))
 
 
 def _cmd_aut(ns) -> CommandResult:
@@ -162,7 +156,7 @@ def _cmd_aut(ns) -> CommandResult:
     from .serial import aut_to_dict
 
     algebra = load_algebra(ns.file)
-    return CommandResult(EXIT_OK, _json(aut_to_dict(automorphism_group(algebra))))
+    return CommandResult(EXIT_OK, json_text(aut_to_dict(automorphism_group(algebra))))
 
 
 def _cmd_center(ns) -> CommandResult:
@@ -170,7 +164,7 @@ def _cmd_center(ns) -> CommandResult:
     from .structure import center_describe
 
     algebra = load_algebra(ns.file)
-    return CommandResult(EXIT_OK, _json(center_to_dict(center_describe(algebra))))
+    return CommandResult(EXIT_OK, json_text(center_to_dict(center_describe(algebra))))
 
 
 def _cmd_gk(ns) -> CommandResult:
@@ -187,7 +181,7 @@ def _cmd_noeth_witness(ns) -> CommandResult:
 
     algebra = load_algebra(ns.file)
     chain = noetherian_witness_check(algebra, ns.depth)
-    return CommandResult(EXIT_OK, _json(witness_chain_to_dict(chain)))
+    return CommandResult(EXIT_OK, json_text(witness_chain_to_dict(chain)))
 
 
 def _parse_field_flag(text: str):
@@ -210,7 +204,7 @@ def _cmd_convert(ns) -> CommandResult:
 
     if ns.to_gdua is not None:
         algebra = load_algebra(ns.to_gdua)
-        return CommandResult(EXIT_OK, _json(gdua_to_dict(to_gdua(algebra))))
+        return CommandResult(EXIT_OK, json_text(gdua_to_dict(to_gdua(algebra))))
     field = _parse_field_flag(ns.field)
     if ns.from_gdua is not None:
         v_text, r_text, s_text, gamma_text = ns.from_gdua
@@ -220,7 +214,7 @@ def _cmd_convert(ns) -> CommandResult:
             s=scalar_from_text(field, s_text),
             gamma=scalar_from_text(field, gamma_text),
         )
-        return CommandResult(EXIT_OK, _json(algebra_to_dict(from_gdua(presentation))))
+        return CommandResult(EXIT_OK, json_text(algebra_to_dict(from_gdua(presentation))))
     alpha, beta, gamma = (scalar_from_text(field, t) for t in ns.from_downup)
     candidates = downup_candidates(alpha, beta, gamma)
     if not 0 <= ns.choice < len(candidates):
@@ -232,7 +226,7 @@ def _cmd_convert(ns) -> CommandResult:
         orderings = ", ".join(f"(r={r}, s={s})" for r, s, _ in candidates)
         note = f"note: two root orderings {orderings}; --choice selects one\n"
     chosen = candidates[ns.choice][2]
-    return CommandResult(EXIT_OK, _json(algebra_to_dict(chosen)), note=note)
+    return CommandResult(EXIT_OK, json_text(algebra_to_dict(chosen)), note=note)
 
 
 def build_parser() -> _ArgumentParser:

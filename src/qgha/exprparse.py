@@ -31,7 +31,7 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 
-from .algebra import AlgebraParams, Element
+from .algebra import MAX_EXPONENT, AlgebraParams, Element
 from .capacity import check_search
 from .errors import CapacityExceeded, DivisionByZero, ExprSyntaxError, LexError
 
@@ -154,7 +154,7 @@ class _Parser:
         if token.kind != "number":
             raise ExprSyntaxError("expected a nonnegative integer exponent", token.pos)
         exponent = self._number()
-        if exponent > 2**31:
+        if exponent > MAX_EXPONENT:
             raise CapacityExceeded(f"exponent {exponent} beyond 2^31")
         # base^1, ..., base^n in turn: the first size over the bound is reported
         for k in range(1, exponent + 1) if count > 1 else ():

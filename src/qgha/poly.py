@@ -24,14 +24,13 @@ lanes' two's complement and back.
 an inner M(h^s) composes as M, and the result is spread to every s-th
 place, so the substitutions of f = h^2 + c run on half the length with a
 linear inner, and those of f = c h^s need no products at all.  It then
-runs Horner when the outer polynomial is short.  A longer outer
-is split as A + h^k B, with k a power of two, and rebuilt from its two
-halves and the memoized power m^k of the inner numerators, reducing mod p
-at every node; short blocks with narrow lanes run Horner on one packed
-integer.  Over Q the split gives way to Horner again once the result's
-coefficient bound is long for the outer length, where Karatsuba products
-of huge integers cost more than Horner's big-by-small steps.  All paths
-are exact, so they give the same results.
+splits the outer as A + h^k B, with k a power of two, and rebuilds it from
+its two halves and the memoized power m^k of the inner numerators, reducing
+mod p at every node; blocks of up to a leaf's length, a short outer whole,
+run Horner on one packed integer.  Over Q the split gives way to Horner on
+coefficient lists once the result's coefficient bound is long for the outer
+length, where Karatsuba products of huge integers cost more than Horner's
+big-by-small steps.  All paths are exact, so they give the same results.
 """
 
 from __future__ import annotations
@@ -53,10 +52,6 @@ NEG_INF = float("-inf")
 # `_int_conv` multiplies packed integers once la*lb / (la+lb) reaches this:
 # packing costs about la+lb lane conversions, schoolbook la*lb products.
 _PACK_MIN = 9
-# Outer length from which `compose` divides and conquers; shorter outers,
-# almost every compose of a gk run, keep the plain Horner loop, where
-# packing measured no gain.
-_COMPOSE_MIN = 12
 # Over Q the result coefficients grow with the outer length; Horner wins
 # again once their bound exceeds _SPLIT_BITS * sqrt(outer length) bits.
 # Measured crossovers sit within 85..120 * sqrt(length) for three-term
@@ -169,9 +164,10 @@ def _horner_packed(block, m, e: int) -> list:
 
 
 def _split_leaf(nums, m, e: int, p) -> int:
-    """Leaf length for `_compose_split` of nums by m / e, or 0 to run Horner."""
-    if len(nums) < _COMPOSE_MIN or len(m) < 2:
-        return 0
+    """Leaf length for `_compose_split` of nonzero nums by nonzero m / e, or
+    0 over Q once the result's coefficient bound passes
+    _SPLIT_BITS * sqrt(len(nums)) bits, to run `_compose_horner`.  An outer
+    no longer than the leaf is one `_horner_packed` block."""
     # bits per power of m in the bound on the result coefficients
     growth = (e * sum(map(abs, m))).bit_length()
     if p is None:
@@ -182,19 +178,14 @@ def _split_leaf(nums, m, e: int, p) -> int:
     return min(_LEAF_MAX, max(1, _LEAF_BITS // growth))
 
 
-def _compose_horner(nums, m, e: int, p) -> list:
-    """sum nums[i] * m^i * e^(L-1-i), L = len(nums), by Horner on lists."""
+def _compose_horner(nums, m, e: int) -> list:
+    """sum nums[i] * m^i * e^(L-1-i), L = len(nums), by Horner on lists of
+    unreduced integers: the Q results with long coefficients."""
     d = len(nums) - 1
-    acc: list = []
-    for i in range(d, -1, -1):
-        # _normal with denominator 1 reduces mod p and is a no-op over Q
-        acc, _ = _normal(_int_conv(acc, m), 1, p)
-        if nums[i]:
-            add = nums[i] * e ** (d - i)
-            if acc:
-                acc[0] += add
-            else:
-                acc = [add]
+    acc = [nums[d]]
+    for i in range(d - 1, -1, -1):
+        acc = _int_conv(acc, m)
+        acc[0] += nums[i] * e ** (d - i)
     return acc
 
 
@@ -434,8 +425,8 @@ class Poly:
     # -- evaluation and substitution --------------------------------------
 
     def evaluate(self, point: Scalar) -> Scalar:
-        """self(point), as the composite with the constant inner point: a
-        constant inner runs the exact Horner of `compose` on integers."""
+        """self(point), as the composite with the constant inner point,
+        which `compose` runs on integers like any other inner."""
         return self.compose(Poly.const(self.field.scalar(point))).coeff(0)
 
     def compose(self, inner: Poly) -> Poly:
@@ -446,11 +437,13 @@ class Poly:
         of m's nonconstant terms share a gcd s > 1, m = M(h^s) and the sum
         is computed with M, then written to every s-th place: half the
         length for f = h^2 + c.  If M is c h, the sum is n_i c^i E^(d-i)
-        per coefficient.  Otherwise a longer self splits its coefficients
-        in halves (`_compose_split`), so the long products are Kronecker
-        products of packed integers; a short self, or one whose result
-        over Q has long coefficients for its length (`_split_leaf`), runs
-        Horner over coefficient lists.  Both pick their path from M.
+        per coefficient.  Otherwise self splits its coefficients in halves
+        (`_compose_split`) down to blocks that run Horner on one packed
+        integer, so the long products are Kronecker products; only a result
+        over Q with long coefficients for its length (`_split_leaf`) runs
+        Horner over coefficient lists.  Both pick their path from M.  A
+        zero self or inner needs no kernel: the result is self's constant
+        term.
         """
         self._check(inner)
         if self.degree() >= 1 and inner.degree() >= 1:
@@ -462,14 +455,14 @@ class Poly:
         step = gcd(*(j for j in range(1, len(m)) if m[j]))
         if step > 1:
             m = m[::step]
-        if len(m) == 2 and not m[0]:  # M = c h: scale each coefficient
+        if not nums or not m:
+            acc = list(nums[:1])
+        elif len(m) == 2 and not m[0]:  # M = c h: scale each coefficient
             acc = [v * pow(m[1], i, p) * pow(e, d - i, p) for i, v in enumerate(nums)]
+        elif leaf := _split_leaf(nums, m, e, p):
+            acc = _compose_split(nums, m, e, p, [m], leaf)
         else:
-            leaf = _split_leaf(nums, m, e, p)
-            if leaf:
-                acc = _compose_split(nums, m, e, p, [m], leaf)
-            else:
-                acc = _compose_horner(nums, m, e, p)
+            acc = _compose_horner(nums, m, e)
         if step > 1 and acc:
             spread = [0] * ((len(acc) - 1) * step + 1)
             spread[::step] = acc

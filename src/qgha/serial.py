@@ -100,10 +100,15 @@ def load_algebra(path) -> AlgebraParams:
     return algebra_from_dict(data)
 
 
+def json_text(data) -> str:
+    """data as indented, key-sorted JSON with a trailing newline: the form of
+    every JSON file and JSON answer qgha writes."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def dump_algebra(algebra: AlgebraParams, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(algebra_to_dict(algebra), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(json_text(algebra_to_dict(algebra)))
 
 
 def aut_to_dict(description: AutGroupDescription) -> dict:

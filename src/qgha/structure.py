@@ -143,7 +143,9 @@ def solve_sigma_q(algebra: AlgebraParams) -> Optional[Poly]:
     since the i-th unknown contributes a_i*(f^i - q*h^i) whose top degree
     i*deg f is unique.  The solution is unique for q != 1; for
     q = 1 it is unique up to an additive constant and the representative
-    with a(0) = 0 is returned.
+    with a(0) = 0 is returned.  Once the residual is zero (q = 1) or
+    constant (q != 1), sigma(a) - q*a = g holds by construction, so the
+    closing check fails only on an internal error.
     """
     f, g, q = algebra.f, algebra.g, algebra.q
     field = algebra.field
@@ -172,7 +174,7 @@ def solve_sigma_q(algebra: AlgebraParams) -> Optional[Poly]:
         coeffs[0] = residual.coeff(0) / (field.one - q)
     a = Poly(coeffs, field)
     if a.compose(f) - q * a != g:
-        return None
+        raise InternalError("internal error: a failed the check sigma(a) - q*a = g")
     return a
 
 

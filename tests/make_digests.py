@@ -31,9 +31,10 @@ CORPUS_DIRS = (
 )
 DIGESTS = os.path.join(TESTS, "digests.json")
 
-# every loadable algebra file of both corpus directories but two:
-# q2_h2pbig_h.json has one call below, and f5_q2_h5_h_image.json is diffed
-# through `iso` by CI's smoke step
+# every loadable algebra file of both corpus directories but three:
+# q2_h2pbig_h.json has one call below, f5_q2_h5_h_image.json is diffed
+# through `iso` by CI's smoke step, and fbig_q3_h2mh_h.json through `mul`
+# against the oracle by CI's oracle step
 ALGEBRAS_Q = [
     "q1_h2_h.json",
     "q1_h2_h_image.json",

@@ -347,12 +347,13 @@ def test_canonical_form_cancels_common_factor(nums, k, d):
 
 # -- the packed integer kernel against schoolbook references ----------------
 
-# lengths on either side of every cutoff of the kernel
+# lengths on either side of every cutoff of the kernel, and short outers
+# of 11..13 coefficients
 _EDGE_LENGTHS = sorted(
     {
         n + delta
         for n in (
-            poly_module._COMPOSE_MIN,
+            12,
             poly_module._LEAF_MAX,
             2 * poly_module._LEAF_MAX,
             4 * poly_module._LEAF_MAX,
@@ -498,8 +499,9 @@ def test_compose_runs_the_kernels_on_the_reduced_inner(monkeypatch):
             return kernel(nums, m, *rest)
 
         monkeypatch.setattr(poly_module, name, spy)
-    outers = [Poly(range(1, n + 1), QQ) for n in (5, 40)]
-    # f = h^2 + 1 runs both kernels on the linear inner h + 1
+    # f = h^2 + 1 runs both kernels on the linear inner h + 1: list Horner
+    # for 400-bit coefficients, the split for small ones
+    outers = [Poly([2**400 + i for i in range(5)], QQ), Poly(range(1, 41), QQ)]
     for outer in outers:
         outer.compose(P(1, 0, 1))
     assert sorted(seen) == [("_compose_horner", 2), ("_compose_split", 2)]
@@ -565,7 +567,7 @@ def test_compose_with_wide_inner_numerators(field, inner, length):
 @pytest.mark.parametrize(
     "field, inner, length, bits, split",
     [
-        (QQ, [1, 0, 1], 11, 2, False),  # short outer
+        (QQ, [1, 0, 1], 11, 2, True),  # short outer: one packed block
         (QQ, [1, 0, 1], 250, 60, True),  # criterion-2 product sizes
         (QQ, [0, 0, 1], 4097, 2, True),  # no coefficient growth
         (QQ, [1, 0, 1], 4097, 2, False),  # ~8200-bit result coefficients
@@ -588,9 +590,65 @@ def test_long_compose_path(field, inner, length, bits, split):
     assert leaf <= poly_module._LEAF_MAX
 
 
+@pytest.mark.parametrize("field", [F2, F7, F17, F257, F_BIG], ids=str)
+def test_split_leaf_packs_every_nonzero_compose_over_fp(field, monkeypatch):
+    top = field.p - 1
+    inners = [[1], [top], [0, top], [1, 1], [top, top], [top, 0, top], [1, top, 1, top]]
+    for length in range(1, 14):
+        for nums in ([1] * length, [top] * length, [0] * (length - 1) + [1]):
+            for m in inners:
+                assert 1 <= poly_module._split_leaf(nums, m, 1, field.p) <= poly_module._LEAF_MAX
+
+    def horner(*args):
+        raise AssertionError("list Horner over F_p")
+
+    # and compose never reaches list Horner, through any inner it reduces
+    monkeypatch.setattr(poly_module, "_compose_horner", horner)
+    rng = random.Random(f"no-horner-{field}")
+    for length in range(1, 14):
+        outer = Poly([rng.randrange(field.p) for _ in range(length - 1)] + [top], field)
+        for m in inners + [[3, 0, 1], [top, 0, 0, 1]]:
+            inner = Poly(m, field)
+            assert outer.compose(inner) == _reference_compose(outer, inner)
+
+
+@pytest.mark.parametrize("m", [[1], [1, 1], [0, 0, 1], [5, -3, 2]])
+def test_split_leaf_over_q_runs_list_horner_only_past_the_bound(m):
+    growth = sum(map(abs, m)).bit_length()
+    for length in range(1, 40):
+        for top in range(1, 400, 7):
+            nums = [2**top - 1] + [1] * (length - 1)
+            bits = top + (length - 1) * growth
+            leaf = poly_module._split_leaf(nums, m, 1, None)
+            assert bool(leaf) == (bits * bits <= poly_module._SPLIT_BITS**2 * length)
+            assert leaf <= poly_module._LEAF_MAX
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F_BIG], ids=str)
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 5, 11, 12, 13])
+def test_short_and_degenerate_composes(field, length):
+    # zero, constant and short outers and inners, small and long coefficients
+    rng = random.Random(f"short-{field}-{length}")
+
+    def coeffs(n, bits):
+        vals = [rng.randint(-(2**bits), 2**bits) for _ in range(n)]
+        return [Fraction(v, rng.randint(1, 30)) for v in vals] if field.is_rationals else vals
+
+    for bits in (2, 64, 300):
+        outer = Poly(coeffs(length, bits), field)
+        short = [coeffs(n, bits) for n in (1, 2, 3, 4)]
+        for m in ([], [0], [5], [0, 1], [1, 1], [0, 0, 3], *short):
+            inner = Poly(m, field)
+            want = _reference_compose(outer, inner)
+            got = outer.compose(inner)
+            assert (got._nums, got._den) == (want._nums, want._den)
+            if inner.degree() < 1:
+                assert outer.evaluate(inner.coeff(0)) == want.coeff(0)
+
+
 @given(
     field=st.sampled_from(FIELDS),
-    nums=_int_list(st.integers(poly_module._COMPOSE_MIN - 1, 140)),
+    nums=_int_list(st.integers(11, 140)),
 )
 @settings(max_examples=30, deadline=None)
 def test_long_compose_matches_sympy(field, nums):

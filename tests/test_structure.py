@@ -32,6 +32,7 @@ from qgha.algebra import _times
 from qgha import capacity
 from qgha.errors import (
     CapacityExceeded,
+    InternalError,
     NoFixedPointInField,
     PreconditionViolated,
     WrongDegree,
@@ -236,6 +237,18 @@ def test_solve_sigma_q_examples():
         solve_sigma_q(algebra(QQ, 2, [0, 1], [0, 1]))
     with pytest.raises(PreconditionViolated):
         solve_sigma_q(algebra(QQ, 0, [0, 0, 1], [0, 1]))
+
+
+def test_failed_sigma_q_check_is_an_internal_error(monkeypatch):
+    compose = Poly.compose
+    # sigma(a) one off makes the closing check fail: a bug, not "no solution"
+    monkeypatch.setattr(Poly, "compose", lambda p, inner: compose(p, inner) + Poly.one(p.field))
+    A = algebra(QQ, -1, [0, 0, 1], [0, 1, 1])
+    with pytest.raises(InternalError, match="sigma") as caught:
+        solve_sigma_q(A)
+    assert caught.value.exit_code == 5
+    with pytest.raises(InternalError):
+        center_describe(A)
 
 
 def test_solve_sigma_q_round_trip_and_brute_force():
