@@ -126,21 +126,24 @@ def _affine_maps(f: Poly, f2: Poly):
 
 
 def _relation_residues(a: AlgebraParams, b: AlgebraParams, w: IsoWitness):
-    """The relations hx - x*f(h), yh - f(h)*y, yx - q*xy - g(h) of a, one at
+    """The relations yx - q*xy - g(h), hx - x*f(h), yh - f(h)*y of a, one at
     a time, pushed into b by h -> (h' - v)/u, x -> x', y -> y'/c.
 
-    In b they are x'*D, D*y'/c and (q' - q)*x'y'/c + E, with
-    D = psi^{-1} o f' - f o psi^{-1} and E = g'/c - g o psi^{-1}: all three
-    vanish exactly when w is a witness from a to b.
+    In b they are (q' - q)*x'y'/c + E, x'*D and D*y'/c, with
+    E = g'/c - g o psi^{-1} and D = psi^{-1} o f' - f o psi^{-1}: all three
+    vanish exactly when w is a witness from a to b.  The g relation comes
+    first: when every psi of `_affine_maps` fixes f, as for f = h^5 over
+    F_5, it is the only one that fails, so the f relations are built only
+    for candidates that pass it.
     """
     u, v, c = w
     inv = Poly([-v / u, u.inv()], b.field)
-    h = Element.from_poly(b, inv)
     x, y = b.x(), c.inv() * b.y()
+    yield y * x - a.q * (x * y) - Element.from_poly(b, a.g.compose(inv))
+    h = Element.from_poly(b, inv)
     f_h = Element.from_poly(b, a.f.compose(inv))
     yield h * x - x * f_h
     yield y * h - f_h * y
-    yield y * x - a.q * (x * y) - Element.from_poly(b, a.g.compose(inv))
 
 
 def _relations_hold(a: AlgebraParams, b: AlgebraParams, w: IsoWitness) -> bool:

@@ -23,14 +23,17 @@ lanes' two's complement and back.
 `compose` first takes out the gcd s of the inner's nonconstant exponents:
 an inner M(h^s) composes as M, and the result is spread to every s-th
 place, so the substitutions of f = h^2 + c run on half the length with a
-linear inner, and those of f = c h^s need no products at all.  It then
-splits the outer as A + h^k B, with k a power of two, and rebuilds it from
-its two halves and the memoized power m^k of the inner numerators, reducing
-mod p at every node; blocks of up to a leaf's length, a short outer whole,
-run Horner on one packed integer.  Over Q the split gives way to Horner on
-coefficient lists once the result's coefficient bound is long for the outer
-length, where Karatsuba products of huge integers cost more than Horner's
+linear inner, those of f = c h^s scale each coefficient, and those of
+f = h^s only re-index the outer's numerators.  It then splits the outer as
+A + h^k B, with k a power of two, and rebuilds it from its two halves and
+the memoized power m^k of the inner numerators, reducing mod p at every
+node; blocks of up to a leaf's length, a short outer whole, run Horner on
+one packed integer.  Over Q the split gives way to Horner on coefficient
+lists once the result's coefficient bound is long for the outer length,
+where Karatsuba products of huge integers cost more than Horner's
 big-by-small steps.  All paths are exact, so they give the same results.
+A result is normalised once, before the spread: spreading canonical
+numerators keeps them canonical.
 """
 
 from __future__ import annotations
@@ -244,19 +247,25 @@ class Poly:
         values = [field.scalar(c).value for c in coeffs]
         den = lcm(*(v.denominator for v in values))
         nums = [v.numerator * (den // v.denominator) for v in values]
-        self._set(nums, den, field)
+        self._set(*_normal(nums, den, field.p), field)
 
-    def _set(self, nums: list, den: int, field: FieldSpec) -> None:
-        nums, den = _normal(nums, den, field.p)
+    def _set(self, nums, den: int, field: FieldSpec) -> None:
+        """Store nums / den, which must already be canonical (`_normal`)."""
         self._nums = tuple(nums)
         self._den = den
         self.field = field
 
     @classmethod
-    def _make(cls, nums: list, den: int, field: FieldSpec) -> Poly:
+    def _canonical(cls, nums, den: int, field: FieldSpec) -> Poly:
+        """The Poly nums / den, for nums and den already canonical."""
         self = object.__new__(cls)
         self._set(nums, den, field)
         return self
+
+    @classmethod
+    def _make(cls, nums: list, den: int, field: FieldSpec) -> Poly:
+        """The Poly nums / den, made canonical."""
+        return cls._canonical(*_normal(nums, den, field.p), field)
 
     def _scalar(self, num: int) -> Scalar:
         """num / _den as a Scalar of this field (over F_p, _den is 1)."""
@@ -437,13 +446,15 @@ class Poly:
         of m's nonconstant terms share a gcd s > 1, m = M(h^s) and the sum
         is computed with M, then written to every s-th place: half the
         length for f = h^2 + c.  If M is c h, the sum is n_i c^i E^(d-i)
-        per coefficient.  Otherwise self splits its coefficients in halves
-        (`_compose_split`) down to blocks that run Horner on one packed
-        integer, so the long products are Kronecker products; only a result
-        over Q with long coefficients for its length (`_split_leaf`) runs
-        Horner over coefficient lists.  Both pick their path from M.  A
-        zero self or inner needs no kernel: the result is self's constant
-        term.
+        per coefficient; if M is h and E is 1, it is self's own numerators,
+        so f = h^s only re-indexes them.  Otherwise self splits its
+        coefficients in halves (`_compose_split`) down to blocks that run
+        Horner on one packed integer, so the long products are Kronecker
+        products; only a result over Q with long coefficients for its
+        length (`_split_leaf`) runs Horner over coefficient lists.  Both
+        pick their path from M.  A zero self or inner needs no kernel: the
+        result is self's constant term.  The sum is normalised once, before
+        the spread, which keeps it canonical.
         """
         self._check(inner)
         if self.degree() >= 1 and inner.degree() >= 1:
@@ -455,19 +466,27 @@ class Poly:
         step = gcd(*(j for j in range(1, len(m)) if m[j]))
         if step > 1:
             m = m[::step]
-        if not nums or not m:
-            acc = list(nums[:1])
-        elif len(m) == 2 and not m[0]:  # M = c h: scale each coefficient
-            acc = [v * pow(m[1], i, p) * pow(e, d - i, p) for i, v in enumerate(nums)]
-        elif leaf := _split_leaf(nums, m, e, p):
-            acc = _compose_split(nums, m, e, p, [m], leaf)
+        den = self._den * e ** max(d, 0)
+        if m == (0, 1) and e == 1:  # M = h: self's numerators, canonical
+            acc = nums
         else:
-            acc = _compose_horner(nums, m, e)
+            if not nums or not m:
+                acc = list(nums[:1])
+            elif len(m) == 2 and not m[0]:  # M = c h: scale each coefficient
+                acc = [v * pow(m[1], i, p) * pow(e, d - i, p) for i, v in enumerate(nums)]
+            elif not (leaf := _split_leaf(nums, m, e, p)):
+                acc = _compose_horner(nums, m, e)
+            elif len(nums) <= leaf:
+                acc = _horner_packed(nums, m, e)
+            else:
+                acc = _compose_split(nums, m, e, p, [m], leaf)
+            acc, den = _normal(acc, den, p)
         if step > 1 and acc:
+            # a spread of canonical numerators is canonical
             spread = [0] * ((len(acc) - 1) * step + 1)
             spread[::step] = acc
             acc = spread
-        return Poly._make(acc, self._den * e ** max(d, 0), self.field)
+        return Poly._canonical(acc, den, self.field)
 
     def derivative(self) -> Poly:
         nums = [i * v for i, v in enumerate(self._nums)]

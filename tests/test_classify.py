@@ -375,7 +375,7 @@ def test_relations_hold_on_the_image_of_every_witness():
 
 def test_relation_residues_are_the_parameter_discrepancies():
     # under h -> (h' - v)/u, x -> x', y -> y'/c the three relations of A
-    # leave x'*D, D*y'/c and (q' - q)*x'y'/c + E in B, with
+    # leave (q' - q)*x'y'/c + E, x'*D and D*y'/c in B, with
     # D = (f' - u*f(psi^-1) - v)/u and E = (g' - c*g(psi^-1))/c: zero
     # exactly when B is A's image and q' = q
     rng = rng_for("relation-residues")
@@ -389,9 +389,9 @@ def test_relation_residues_are_the_parameter_discrepancies():
             e = w.c.inv() * (B.g - image.g)
             x_y = Poly.const((B.q - A.q) / w.c)
             assert tuple(_relation_residues(A, B, w)) == (
+                Element.monomial(B, 1, x_y, 1) + Element.from_poly(B, e),
                 Element.monomial(B, 1, d, 0),
                 Element.monomial(B, 0, w.c.inv() * d, 1),
-                Element.monomial(B, 1, x_y, 1) + Element.from_poly(B, e),
             )
 
 

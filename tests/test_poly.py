@@ -449,6 +449,7 @@ def test_compose_matches_horner_reference(args):
     got = outer.compose(inner)
     want = _reference_compose(outer, inner)
     assert (got._nums, got._den) == (want._nums, want._den)
+    _assert_canonical(got)
 
 
 def _in_h_to_the(m, step) -> list:
@@ -476,6 +477,11 @@ def _in_h_to_the(m, step) -> list:
         (F257, [256, 3, 1]),
         (F_BIG, [0, 2**60 + 5]),
         (F_BIG, [2**60 + 5, 3, 2**59]),
+        # c h with c != 1 or a denominator still scales, then normalises
+        (QQ, [0, -1]),
+        (QQ, [0, Fraction(3, 2)]),
+        (QQ, [0, Fraction(1, 2)]),
+        (F7, [0, 2]),
     ],
     ids=lambda v: str(v) if isinstance(v, FieldSpec) else None,
 )
@@ -487,6 +493,37 @@ def test_compose_with_an_inner_in_h_to_the_d(field, m, step, length):
     want = _reference_compose(outer, inner)
     got = outer.compose(inner)
     assert (got._nums, got._den) == (want._nums, want._den)
+    _assert_canonical(got)
+
+
+def _assert_canonical(r: Poly) -> None:
+    """r's integers are what `Poly._make` makes of them: compose builds its
+    result without a second `_normal`."""
+    again = Poly._make(list(r._nums), r._den, r.field)
+    assert (again._nums, again._den) == (r._nums, r._den)
+
+
+# f = h^s substitutes by re-indexing: no arithmetic and no `_normal`
+@pytest.mark.parametrize("step", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("field", [QQ, F7, F_BIG], ids=str)
+def test_compose_by_h_to_the_s_is_a_re_index(field, step, monkeypatch):
+    rng = random.Random(f"re-index-{field}-{step}")
+    outers = [Poly([], field), Poly([3], field)]
+    for length in (2, 5, 40, 100):
+        nums = [rng.randint(-(2**70), 2**70) for _ in range(length - 1)] + [1]
+        outers.append(Poly([Fraction(v, 7) for v in nums] if field.is_rationals else nums, field))
+    inner = Poly([0] * step + [1], field)
+
+    def normal(*args):
+        raise AssertionError("_normal on a re-index")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(poly_module, "_normal", normal)
+        got = [outer.compose(inner) for outer in outers]
+    for outer, r in zip(outers, got):
+        want = _reference_compose(outer, inner)
+        assert (r._nums, r._den) == (want._nums, want._den)
+        _assert_canonical(r)
 
 
 def test_compose_runs_the_kernels_on_the_reduced_inner(monkeypatch):
@@ -500,11 +537,11 @@ def test_compose_runs_the_kernels_on_the_reduced_inner(monkeypatch):
 
         monkeypatch.setattr(poly_module, name, spy)
     # f = h^2 + 1 runs both kernels on the linear inner h + 1: list Horner
-    # for 400-bit coefficients, the split for small ones
-    outers = [Poly([2**400 + i for i in range(5)], QQ), Poly(range(1, 41), QQ)]
+    # for 400-bit coefficients, the split for small ones past one leaf
+    outers = [Poly([2**400 + i for i in range(5)], QQ), Poly(range(1, 101), QQ)]
     for outer in outers:
         outer.compose(P(1, 0, 1))
-    assert sorted(seen) == [("_compose_horner", 2), ("_compose_split", 2)]
+    assert sorted(set(seen)) == [("_compose_horner", 2), ("_compose_split", 2)]
     # f = h^2 and f = 3 h^4 need no kernel
     seen.clear()
     for outer in outers:
@@ -642,6 +679,7 @@ def test_short_and_degenerate_composes(field, length):
             want = _reference_compose(outer, inner)
             got = outer.compose(inner)
             assert (got._nums, got._den) == (want._nums, want._den)
+            _assert_canonical(got)
             if inner.degree() < 1:
                 assert outer.evaluate(inner.coeff(0)) == want.coeff(0)
 
