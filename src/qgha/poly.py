@@ -19,7 +19,8 @@ from an exact coefficient bound, and CPython multiplies the two integers.
 Lanes of up to 8 bytes are widened to 1, 2, 4 or 8, so that `array` and
 `memoryview` convert them in native byte order with no per-lane Python
 work; an XOR offset of 0x80 atop every lane maps the signed sum to the
-lanes' two's complement and back.
+lanes' two's complement and back.  Wider lanes are cut by
+`struct.iter_unpack` and read by one `int.from_bytes` each.
 `compose` first takes out the gcd s of the inner's nonconstant exponents:
 an inner M(h^s) composes as M, and the result is spread to every s-th
 place, so the substitutions of f = h^2 + c run on half the length with a
@@ -28,16 +29,21 @@ f = h^s only re-index the outer's numerators.  It then splits the outer as
 A + h^k B, with k a power of two, and rebuilds it from its two halves and
 the memoized power m^k of the inner numerators, reducing mod p at every
 node; blocks of up to a leaf's length, a short outer whole, run Horner on
-one packed integer.  Over Q the split gives way to Horner on coefficient
-lists once the result's coefficient bound is long for the outer length,
-where Karatsuba products of huge integers cost more than Horner's
-big-by-small steps.  All paths are exact, so they give the same results.
+one packed integer.  By a linear inner m0 + m1 h, the Taylor shifts that
+f = h^2 + c leaves, a Horner step is acc * m0 + (acc * m1 << lane width):
+two multiplies by small integers and a shift instead of a multiply by the
+two-lane packed inner, so over Q those leaves run up to 256 coefficients.
+Over Q the split gives way to Horner on coefficient lists once the
+result's coefficient bound is long for the outer length, where Karatsuba
+products of huge integers cost more than Horner's big-by-small steps.  All
+paths are exact, so they give the same results.
 A result is normalised once, before the spread: spreading canonical
 numerators keeps them canonical.
 """
 
 from __future__ import annotations
 
+import struct
 import sys
 from array import array
 from fractions import Fraction
@@ -58,18 +64,28 @@ _PACK_MIN = 9
 # Over Q the result coefficients grow with the outer length; Horner wins
 # again once their bound exceeds _SPLIT_BITS * sqrt(outer length) bits.
 # Measured crossovers sit within 85..120 * sqrt(length) for three-term
-# inners (h^2 + 1 at length ~2800 to h^2 + 3h + 2^15 at ~50), and within
-# 125..160 for linear ones (h + 1 at ~3000 to h + 2^15 at ~100), which is
-# what f = h^2 + c leaves after `compose` takes out the exponent gcd.  90
-# sits in the three-term band; a linear inner between 90 and ~125 runs
-# Horner where the split would be up to 2x faster.  Over F_p every node is
-# reduced, so the split always runs.
+# inners (h^2 + 1 at length ~2800 to h^2 + 3h + 2^15 at ~50).  For linear
+# ones, what f = h^2 + c leaves after `compose` takes out the exponent gcd,
+# the shift-and-add leaves put them within 100..170 for outers past one
+# leaf: at 100 * sqrt(length) the packed path ran in 0.3-0.96x Horner's
+# time for h + 1, h + 3, h - 5, 3h + 7 and (h + 1)/2 at lengths 50-2000,
+# and at 125 it lost at length 300 for h - 5 and 3h + 7 (1.1x, 1.2x).  So
+# 90 serves both.  Over F_p every node is reduced, so the split always runs.
 _SPLIT_BITS = 90
 # Longest block that the divide-and-conquer compose evaluates by Horner on
 # one packed integer, whose lanes hold the block's unreduced result: at
 # most _LEAF_MAX coefficients and lanes of about _LEAF_BITS bits.
 _LEAF_MAX = 64
 _LEAF_BITS = 256
+# A linear inner steps by shift-and-add, and over Q no node is reduced, so
+# its leaves are longer: leaves of up to 256 coefficients ran the Taylor
+# shifts of two `products` rounds (h + 1, lengths up to 241) in 0.70x the
+# time of leaves of 64 (128: 0.80x), and p(h + c) at lengths 120-240 in
+# 0.67-0.86x.  Over F_p long leaves give up the reduction at each node:
+# 128 and 256 took 1.5x and 3.3x as long as 64 for h + 1 over F_7 at
+# length 1000.
+_LEAF_MAX_LINEAR = 256
+_LEAF_BITS_LINEAR = 512
 
 # Signed `array` type codes by item size; their native byte order is the
 # packed integers' little-endian one only on a little-endian host.
@@ -103,14 +119,16 @@ def _unpack(packed: int, n: int, nb: int) -> list:
     """The n signed nb-byte lanes of packed: the inverse of `_pack`.
 
     (packed + offset) ^ offset is the lanes in two's complement, which a
-    `memoryview` reads at C speed for lanes of 1, 2, 4 or 8 bytes.
+    `memoryview` reads at C speed for lanes of 1, 2, 4 or 8 bytes.  Wider
+    lanes come from `struct.iter_unpack`, with no slice per lane, and one
+    signed `int.from_bytes` each.
     """
     offset = _lane_offset(n, nb)
     raw = ((packed + offset) ^ offset).to_bytes(n * nb, "little")
     code = _LANE_CODES.get(nb)
     if code:
         return memoryview(raw).cast(code).tolist()
-    return [int.from_bytes(raw[i : i + nb], "little", signed=True) for i in range(0, n * nb, nb)]
+    return [int.from_bytes(c, "little", signed=True) for (c,) in struct.iter_unpack(f"{nb}s", raw)]
 
 
 def _lane_bytes(bits: int) -> int:
@@ -146,23 +164,34 @@ def _horner_packed(block, m, e: int) -> list:
 
     The lanes are sized for the unreduced result, so blocks stay short: a
     whole long polynomial in one integer would carry huge lanes over F_p.
+    With S = sum |m_i|, the bound takes S^top below 2^(top * bits(S - 1)),
+    exact when S is a power of two: one bit a step for h + 1 or h - 1.  A
+    linear m steps by shift-and-add, whose cost grows linearly with the
+    lanes, where the product by the packed m grows with their square.
     """
     top = len(block) - 1
     if not top:
         return list(block)  # no power of m: packing m could overflow the lanes
     if e != 1:
         block = [v * e ** (top - i) for i, v in enumerate(block)]
-    # |result_k| <= L * max|block| * (sum |m_i|)^top
+    # |result_k| <= L * max|block| * S^top, S = sum |m_i| <= 2^bit_length(S - 1)
     bits = (
         max(map(int.bit_length, block))
         + len(block).bit_length()
-        + top * sum(map(abs, m)).bit_length()
+        + top * (sum(map(abs, m)) - 1).bit_length()
     )
     nb = _lane_bytes(bits)
-    packed_m = _pack(m, nb)
     acc = 0
-    for v in reversed(block):
-        acc = acc * packed_m + v
+    if len(m) == 2:
+        m0, m1 = m
+        shift = 8 * nb
+        for v in reversed(block):
+            # acc * (m0 + m1 * 2^shift), with no copy of acc for a unit factor
+            acc = (acc if m0 == 1 else m0 * acc) + ((acc if m1 == 1 else m1 * acc) << shift) + v
+    else:
+        packed_m = _pack(m, nb)
+        for v in reversed(block):
+            acc = acc * packed_m + v
     return _unpack(acc, top * (len(m) - 1) + 1, nb)
 
 
@@ -170,7 +199,8 @@ def _split_leaf(nums, m, e: int, p) -> int:
     """Leaf length for `_compose_split` of nonzero nums by nonzero m / e, or
     0 over Q once the result's coefficient bound passes
     _SPLIT_BITS * sqrt(len(nums)) bits, to run `_compose_horner`.  An outer
-    no longer than the leaf is one `_horner_packed` block."""
+    no longer than the leaf is one `_horner_packed` block.  A linear m over
+    Q takes the longer leaves of _LEAF_MAX_LINEAR and _LEAF_BITS_LINEAR."""
     # bits per power of m in the bound on the result coefficients
     growth = (e * sum(map(abs, m))).bit_length()
     if p is None:
@@ -178,6 +208,8 @@ def _split_leaf(nums, m, e: int, p) -> int:
         bits = max(map(int.bit_length, nums)) + (len(nums) - 1) * growth
         if bits * bits > _SPLIT_BITS**2 * len(nums):
             return 0
+        if len(m) == 2:
+            return min(_LEAF_MAX_LINEAR, max(1, _LEAF_BITS_LINEAR // growth))
     return min(_LEAF_MAX, max(1, _LEAF_BITS // growth))
 
 
@@ -388,9 +420,14 @@ class Poly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result = Poly.one(self.field)
-        for _ in range(exponent):
-            result = result * self
+        # square and multiply, as `Element.__pow__`: O(log n) products
+        result, square = Poly.one(self.field), self
+        while exponent:
+            if exponent & 1:
+                result = result * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
         return result
 
     def __divmod__(self, other):

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import lcm
+from math import lcm, log2
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -154,6 +154,29 @@ def test_poly_roots_f5():
     expected = {r for r in range(5) if (r * r + 1) % 5 == 0}
     assert expected == {2, 3}
     assert poly_roots(p) == {F5.scalar(r) for r in expected}
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=str)
+def test_pow_is_square_and_multiply(field, monkeypatch):
+    base = Poly([Fraction(1, 2), -3, 1] if field.is_rationals else [3, 6, 1], field)
+    want = Poly.one(field)
+    products = []
+    mul = Poly.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    for n in range(41):
+        with monkeypatch.context() as patch:
+            patch.setattr(Poly, "__mul__", counting)
+            products.clear()
+            got = base**n
+        assert got == want
+        assert len(products) <= (2 * log2(n) + 2 if n else 0)
+        want = want * base
+    assert Poly.zero(field) ** 0 == Poly.one(field)
+    assert Poly.zero(field) ** 5 == Poly.zero(field)
 
 
 def test_derivative():
@@ -537,8 +560,9 @@ def test_compose_runs_the_kernels_on_the_reduced_inner(monkeypatch):
 
         monkeypatch.setattr(poly_module, name, spy)
     # f = h^2 + 1 runs both kernels on the linear inner h + 1: list Horner
-    # for 400-bit coefficients, the split for small ones past one leaf
-    outers = [Poly([2**400 + i for i in range(5)], QQ), Poly(range(1, 101), QQ)]
+    # for 400-bit coefficients, the split for small ones past one leaf of
+    # _LEAF_MAX_LINEAR (256) coefficients
+    outers = [Poly([2**400 + i for i in range(5)], QQ), Poly(range(1, 301), QQ)]
     for outer in outers:
         outer.compose(P(1, 0, 1))
     assert sorted(set(seen)) == [("_compose_horner", 2), ("_compose_split", 2)]
@@ -624,7 +648,15 @@ def test_long_compose_path(field, inner, length, bits, split):
     nums = [2**bits - 1] * (length - 1) + [1]
     leaf = poly_module._split_leaf(nums, inner, 1, field.p)
     assert bool(leaf) == split
-    assert leaf <= poly_module._LEAF_MAX
+    assert leaf <= _leaf_cap(field, inner)
+
+
+def _leaf_cap(field, m) -> int:
+    """The longest leaf `_split_leaf` may pick: longer for a linear inner
+    over Q, which runs shift-and-add Horner on unreduced leaves."""
+    if field.is_rationals and len(m) == 2:
+        return poly_module._LEAF_MAX_LINEAR
+    return poly_module._LEAF_MAX
 
 
 @pytest.mark.parametrize("field", [F2, F7, F17, F257, F_BIG], ids=str)
@@ -658,7 +690,7 @@ def test_split_leaf_over_q_runs_list_horner_only_past_the_bound(m):
             bits = top + (length - 1) * growth
             leaf = poly_module._split_leaf(nums, m, 1, None)
             assert bool(leaf) == (bits * bits <= poly_module._SPLIT_BITS**2 * length)
-            assert leaf <= poly_module._LEAF_MAX
+            assert leaf <= _leaf_cap(QQ, m)
 
 
 @pytest.mark.parametrize("field", [QQ, F7, F_BIG], ids=str)
@@ -682,6 +714,35 @@ def test_short_and_degenerate_composes(field, length):
             _assert_canonical(got)
             if inner.degree() < 1:
                 assert outer.evaluate(inner.coeff(0)) == want.coeff(0)
+
+
+# Taylor shifts: an inner c1 h + c0 runs shift-and-add Horner on packed
+# leaves, as long as `_split_leaf` makes them for the field and the inner
+@pytest.mark.parametrize("field", [QQ, F2, F7, F_BIG], ids=str)
+def test_linear_inner_sweep(field):
+    rng = random.Random(f"linear-sweep-{field}")
+    if field.is_rationals:
+        c0s = [1, -1, 10**40, Fraction(-1, 3), Fraction(10**40, 7)]
+        c1s = [1, -1, 3, Fraction(1, 2), Fraction(-5, 6)]
+    else:
+        c0s = [1, -1, field.p - 1, 10**40]
+        c1s = [1, field.p - 1, rng.randrange(1, field.p)]
+    for c0 in c0s:
+        inner = Poly([c0, rng.choice(c1s)], field)
+        leaf = poly_module._split_leaf([1], list(inner._nums), inner._den, field.p)
+        lengths = {1, 2, leaf - 1, leaf, leaf + 1, 2 * leaf + 1, 300, rng.randint(3, 300)}
+        for length in sorted(n for n in lengths if 1 <= n <= 300):
+            # 3000-bit outers only where the reference stays quick
+            bits = rng.choice([1, 64, 300] + ([3000] if length <= 70 else []))
+            nums = [rng.randint(-(2**bits), 2**bits) for _ in range(length - 1)] + [2**bits - 1]
+            if field.is_rationals:
+                outer = Poly([Fraction(v, rng.randint(1, 30)) for v in nums], field)
+            else:
+                outer = Poly(nums, field)
+            got = outer.compose(inner)
+            want = _reference_compose(outer, inner)
+            assert (got._nums, got._den) == (want._nums, want._den), (c0, length, bits)
+            _assert_canonical(got)
 
 
 @given(
@@ -714,14 +775,24 @@ def test_pack_unpack_round_trip(vals, nb):
     assert poly_module._unpack(packed, len(vals), nb) == vals
 
 
-@pytest.mark.parametrize("nb", range(1, 41))
+@pytest.mark.parametrize("nb", range(1, 49))
 def test_pack_unpack_every_lane_width(nb, monkeypatch):
     top = 2 ** (8 * nb - 1) - 1
+    low = -top - 1  # the lanes' lower end, -2^(8 nb - 1)
     # widths 1, 2, 4 and 8 take the array path, unless no type codes are
     # given, as on a big-endian host; other widths go one lane at a time
     for codes in (dict(poly_module._LANE_CODES), {}):
         monkeypatch.setattr(poly_module, "_LANE_CODES", codes)
-        for vals in ([top, -top, 0, 1, -1], [-top] * 3, [0], [-1, top, 1, -top], [top]):
+        for vals in (
+            [top, -top, 0, 1, -1],
+            [-top] * 3,
+            [0],
+            [-1, top, 1, -top],
+            [top],
+            [low],
+            [low, top, low, 0],
+            [0, low, -1, low],
+        ):
             packed = poly_module._pack(vals, nb)
             assert packed == sum(v << (8 * nb * i) for i, v in enumerate(vals))
             assert poly_module._unpack(packed, len(vals), nb) == vals
