@@ -14,6 +14,7 @@ from qgha import (
     AlgebraParams,
     CenterKind,
     Element,
+    FieldSpec,
     NoetherianReason,
     Poly,
     center_describe,
@@ -583,9 +584,64 @@ def test_witness_soundness_invariant():
 
 
 def test_gk_cubic_formula_other_presentations():
-    # deg f <= 1 with deg g <= 1: reductions never lengthen words, so the
-    # normal monomials of total degree <= n are exactly a basis of V^n
-    for params in [(3, [1, 2], [5, 1]), (1, [0, 1], [2]), (-1, [4, -1], [0, 1])]:
-        q, f, g = params
-        report = gk_dimension_sequence(algebra(QQ, q, f, g), 5)
-        assert list(report.dims) == [comb(n + 3, 3) for n in range(6)]
+    # deg f = 1 with deg g <= 2: the relations keep the standard filtration,
+    # so the normal monomials of total degree <= n are a basis of V^n
+    fs = [[1, 1], [0, 3], [5, 2]]
+    gs = [[], [1], [0, 1], [2, -1], [0, 0, 1], [-3, 0, Fraction(1, 2)]]
+    cubic = [comb(n + 3, 3) for n in range(8)]
+    for field in (QQ, F7, FieldSpec(2)):
+        for q, f, g in itertools.product((0, 1, 2, -1), fs, gs):
+            if field.p == 2 and Fraction(1, 2) in g:
+                g = [1, 0, 1]
+            A = algebra(field, q, f, g)
+            if A.f.degree() != 1:
+                continue  # 2h + 5 is 1 over F_2
+            assert list(gk_dimension_sequence(A, 7).dims) == cubic, (field, q, f, g)
+
+
+@pytest.mark.parametrize("field", [QQ, F7, FieldSpec(2)], ids=["Q", "F7", "F2"])
+def test_gk_cubic_formula_fails_for_cubic_g(field):
+    # deg g = 3 lifts yx - q*xy out of the filtration, so the count differs
+    dims = gk_dimension_sequence(algebra(field, 1, [1, 1], [0, 0, 0, 1]), 7).dims
+    assert list(dims) != [comb(n + 3, 3) for n in range(8)]
+    assert dims == (1, 4, 11, 23, 42, 69, 106, 154)
+
+
+def _monomial_growth(s, max_n):
+    """dim V^n for f = h^s, g = 0 and q != 0, where every word is a nonzero
+    scalar times one normal monomial: x^i h^j y^k times x is x^(i+1) h^(s*j)
+    y^k (as h x = x h^s and y x = q x y), times y is x^i h^j y^(k+1), and
+    times h is x^i h^(j + s^k) y^k (as y h = h^s y).  So dim V^n counts the
+    monomials a breadth-first search reaches in at most n moves."""
+    reached = {(0, 0, 0)}
+    frontier = [(0, 0, 0)]
+    dims = [1]
+    for _ in range(max_n):
+        new = []
+        for i, j, k in frontier:
+            for mono in ((i + 1, s * j, k), (i, j, k + 1), (i, j + s**k, k)):
+                if mono not in reached:
+                    reached.add(mono)
+                    new.append(mono)
+        frontier = new
+        dims.append(len(reached))
+    return dims
+
+
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize(
+    "field, q",
+    [(QQ, 2), (QQ, Fraction(1, 2)), (FieldSpec(5), 3)],
+    ids=["Q-q2", "Q-qhalf", "F5-q3"],
+)
+def test_gk_monomial_algebra_matches_breadth_first_count(field, q, s):
+    A = algebra(field, q, [0] * s + [1], [])
+    assert list(gk_dimension_sequence(A, 9).dims) == _monomial_growth(s, 9)
+
+
+def test_gk_f11_matches_the_recorded_cli_output():
+    # the deep F_p echelon branch, as CI's smoke step diffs it
+    A = load_algebra(os.path.join(CORPUS, "f11_q2_h2_h3.json"))
+    expected = os.path.join(os.path.dirname(__file__), "corpus", "expected", "gk-f11-n8.out")
+    with open(expected, encoding="utf-8") as handle:
+        assert gk_dimension_sequence(A, 8).to_csv() == handle.read()
