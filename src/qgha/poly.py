@@ -50,7 +50,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .capacity import check_degree, check_search
-from .errors import DivisionByZero, FieldMismatch, InvalidArgument, ZeroPolynomial, ZeroScale
+from .errors import FieldMismatch, InvalidArgument, ZeroPolynomial, ZeroScale
 from .fields import FieldSpec, Scalar
 
 NEG_INF = float("-inf")
@@ -429,32 +429,6 @@ class Poly:
             if exponent:
                 square = square * square
         return result
-
-    def __divmod__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check(other)
-        if other.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        divisor = other.coeffs
-        dd = len(divisor) - 1
-        lead_inv = divisor[-1].inv()
-        quo = [self.field.zero] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            factor = rem[i] * lead_inv
-            if factor.is_zero():
-                continue
-            quo[i - dd] = factor
-            for j, c in enumerate(divisor):
-                rem[i - dd + j] = rem[i - dd + j] - factor * c
-        return Poly(quo, self.field), Poly(rem, self.field)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def __eq__(self, other):
         if not isinstance(other, Poly):

@@ -263,9 +263,10 @@ class GrowthReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _integer_row(terms: dict) -> dict:
+def _integer_row(terms: dict, p: Optional[int]) -> dict:
     """Coordinates of a terms map on the normal monomials x^i h^j y^k, times
-    the lcm of its denominators (1 over F_p, where they are residues).
+    the lcm of its denominators over Q; over F_p (p given) they are the
+    residues themselves.
 
     A monomial is keyed by its rank among the triples (d, i, j), d = i+j+k:
     d(d+1)(2d+1)/6 counts the pairs 0 <= i, j <= e for e < d, and
@@ -273,14 +274,17 @@ def _integer_row(terms: dict) -> dict:
     (i+j+k, i, j, k), since k = d - i - j, so max() of a row is its pivot;
     and one int needs no field width, whatever the degree cap.
     """
-    den = lcm(*(p._den for p in terms.values()))
+    den = 1 if p is not None else lcm(*(t._den for t in terms.values()))
     row = {}
-    for (i, k), p in terms.items():
-        scale = den // p._den
-        for j, v in enumerate(p._nums):
+    for (i, k), t in terms.items():
+        nums = t._nums
+        if t._den != den:
+            scale = den // t._den
+            nums = [v * scale for v in nums]
+        for j, v in enumerate(nums):
             if v:
                 d = i + j + k
-                row[d * (d + 1) * (2 * d + 1) // 6 + i * (d + 1) + j] = v * scale
+                row[d * (d + 1) * (2 * d + 1) // 6 + i * (d + 1) + j] = v
     return row
 
 
@@ -299,8 +303,9 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
     Each generator keeps its rows y^k1 * generator for the whole run too, so
     a run straightens at most 3 * (max_n + 1) of them.
     Rows are scaled freely, which leaves their span unchanged: over Q they
-    are primitive integer vectors reduced by cross-multiplying, over F_p
-    residues with pivot 1.
+    are primitive integer vectors with a positive pivot, reduced by
+    cross-multiplying in place; over F_p a row is stored as it arrived,
+    and a reduction step scales by the inverse of the pivot's entry.
     """
     if max_n < 0:
         raise InvalidArgument("max_n must be nonnegative")
@@ -314,32 +319,39 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
             top = max(row)
             pivot = echelon.get(top)
             if pivot is None:
-                lead = row[top]
                 if p is None:
                     content = gcd(*row.values())
-                    if lead < 0:
+                    if row[top] < 0:
                         content = -content
-                    row = {m: v // content for m, v in row.items()}
-                else:
-                    inv = pow(lead, -1, p)
-                    row = {m: v * inv % p for m, v in row.items()}
+                    if content != 1:
+                        row = {m: v // content for m, v in row.items()}
                 echelon[top] = row
                 return True
+            if p is not None:
+                # row <- row - c*pivot with c = row[top] / pivot[top]
+                c = row[top] * pow(pivot[top], -1, p) % p
+                for m, v in pivot.items():
+                    nv = (row.get(m, 0) - c * v) % p
+                    if nv:
+                        row[m] = nv
+                    else:  # c*v != 0, so nv == 0 only where row had m
+                        del row[m]
+                continue
             # row <- a*row - c*pivot cancels the pivot monomial
             a, c = pivot[top], row[top]
             if a != 1:
                 g = gcd(a, c)
                 a, c = a // g, c // g
-                row = {m: a * v for m, v in row.items()}
+                if a != 1:
+                    for m in row:
+                        row[m] *= a
             for m, v in pivot.items():
                 nv = row.get(m, 0) - c * v
-                if p is not None:
-                    nv %= p
                 if nv:
                     row[m] = nv
-                else:  # c*v != 0, so nv == 0 only where row had m
+                else:
                     del row[m]
-            if p is None and row:
+            if row:
                 content = gcd(*row.values())
                 if content != 1:
                     row = {m: v // content for m, v in row.items()}
@@ -347,7 +359,7 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
 
     one = Poly.one(field)
     unit = {(0, 0): one}
-    reduce_insert(_integer_row(unit))
+    reduce_insert(_integer_row(unit, p))
     dims = [len(echelon)]
     frontier = [unit]
     gens = [(g, {}) for g in ({(1, 0): one}, {(0, 1): one}, {(0, 0): Poly.h(field)})]
@@ -357,7 +369,7 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
         for terms in frontier:
             for right, rows in gens:
                 candidate = _times(algebra, terms, right, orbits, rows)
-                if reduce_insert(_integer_row(candidate)):
+                if reduce_insert(_integer_row(candidate, p)):
                     new_frontier.append(candidate)
         dims.append(len(echelon))
         frontier = new_frontier

@@ -6,6 +6,7 @@ import pytest
 import qgha
 from qgha import capacity
 from qgha import AlgebraParams, Element, FieldSpec, Poly
+from qgha.errors import DivisionByZero
 
 QQ = FieldSpec()
 F7 = FieldSpec(7)
@@ -17,6 +18,27 @@ def poly(field, *coeffs):
 
 def algebra(field, q, f_coeffs, g_coeffs):
     return AlgebraParams(field, q, Poly(f_coeffs, field), Poly(g_coeffs, field))
+
+
+def poly_divmod(a, b):
+    """Reference long division of Polys over one field by their Scalar
+    coefficients: (quotient, remainder) with deg remainder < deg b."""
+    assert a.field == b.field
+    if b.is_zero():
+        raise DivisionByZero("polynomial division by zero")
+    rem = list(a.coeffs)
+    divisor = b.coeffs
+    dd = len(divisor) - 1
+    lead_inv = divisor[-1].inv()
+    quo = [a.field.zero] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        factor = rem[i] * lead_inv
+        if factor.is_zero():
+            continue
+        quo[i - dd] = factor
+        for j, c in enumerate(divisor):
+            rem[i - dd + j] = rem[i - dd + j] - factor * c
+    return Poly(quo, a.field), Poly(rem, a.field)
 
 
 @pytest.fixture
