@@ -263,10 +263,9 @@ class GrowthReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _integer_row(terms: dict, p: Optional[int]) -> dict:
+def _integer_row(terms: dict) -> dict:
     """Coordinates of a terms map on the normal monomials x^i h^j y^k, times
-    the lcm of its denominators over Q; over F_p (p given) they are the
-    residues themselves.
+    the lcm of its denominators (1 over F_p, where they are residues).
 
     A monomial is keyed by its rank among the triples (d, i, j), d = i+j+k:
     d(d+1)(2d+1)/6 counts the pairs 0 <= i, j <= e for e < d, and
@@ -274,7 +273,7 @@ def _integer_row(terms: dict, p: Optional[int]) -> dict:
     (i+j+k, i, j, k), since k = d - i - j, so max() of a row is its pivot;
     and one int needs no field width, whatever the degree cap.
     """
-    den = 1 if p is not None else lcm(*(t._den for t in terms.values()))
+    den = lcm(*(t._den for t in terms.values()))
     row = {}
     for (i, k), t in terms.items():
         nums = t._nums
@@ -327,31 +326,27 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
                         row = {m: v // content for m, v in row.items()}
                 echelon[top] = row
                 return True
-            if p is not None:
+            if p is None:
+                # row <- a*row - c*pivot cancels the pivot monomial
+                a, c = pivot[top], row[top]
+                if a != 1:
+                    g = gcd(a, c)
+                    a, c = a // g, c // g
+                    if a != 1:
+                        for m in row:
+                            row[m] *= a
+            else:
                 # row <- row - c*pivot with c = row[top] / pivot[top]
                 c = row[top] * pow(pivot[top], -1, p) % p
-                for m, v in pivot.items():
-                    nv = (row.get(m, 0) - c * v) % p
-                    if nv:
-                        row[m] = nv
-                    else:  # c*v != 0, so nv == 0 only where row had m
-                        del row[m]
-                continue
-            # row <- a*row - c*pivot cancels the pivot monomial
-            a, c = pivot[top], row[top]
-            if a != 1:
-                g = gcd(a, c)
-                a, c = a // g, c // g
-                if a != 1:
-                    for m in row:
-                        row[m] *= a
             for m, v in pivot.items():
                 nv = row.get(m, 0) - c * v
+                if p is not None:
+                    nv %= p
                 if nv:
                     row[m] = nv
-                else:
+                else:  # c*v != 0, so nv == 0 only where row had m
                     del row[m]
-            if row:
+            if p is None and row:
                 content = gcd(*row.values())
                 if content != 1:
                     row = {m: v // content for m, v in row.items()}
@@ -359,7 +354,7 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
 
     one = Poly.one(field)
     unit = {(0, 0): one}
-    reduce_insert(_integer_row(unit, p))
+    reduce_insert(_integer_row(unit))
     dims = [len(echelon)]
     frontier = [unit]
     gens = [(g, {}) for g in ({(1, 0): one}, {(0, 1): one}, {(0, 0): Poly.h(field)})]
@@ -369,7 +364,7 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
         for terms in frontier:
             for right, rows in gens:
                 candidate = _times(algebra, terms, right, orbits, rows)
-                if reduce_insert(_integer_row(candidate, p)):
+                if reduce_insert(_integer_row(candidate)):
                     new_frontier.append(candidate)
         dims.append(len(echelon))
         frontier = new_frontier

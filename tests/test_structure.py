@@ -556,15 +556,15 @@ def test_integer_row_scales_by_the_denominator_lcm():
         (0, 0): Poly([Fraction(-5, 4), 0, Fraction(2, 3)], QQ),
     }
     # x^i h^j y^k is keyed by its rank; lcm(2, 12) = 12
-    assert _integer_row(terms, None) == {_rank(1, 1, 1): 6, _rank(0, 0, 0): -15, _rank(0, 2, 0): 8}
-    assert _integer_row({(0, 2): Poly([3, 0, 6], F7)}, 7) == {_rank(0, 0, 2): 3, _rank(0, 2, 2): 6}
-    assert _integer_row({}, None) == _integer_row({}, 7) == {}
+    assert _integer_row(terms) == {_rank(1, 1, 1): 6, _rank(0, 0, 0): -15, _rank(0, 2, 0): 8}
+    assert _integer_row({(0, 2): Poly([3, 0, 6], F7)}) == {_rank(0, 0, 2): 3, _rank(0, 2, 2): 6}
+    assert _integer_row({}) == {}
     # the keys rise strictly in (i+j+k, i, j, k) order, so max() is the pivot
     triples = sorted(
         (i + j + k, i, j, k) for i, j, k in itertools.product(range(7), repeat=3) if i + j + k <= 6
     )
     keys = [
-        next(iter(_integer_row({(i, k): Poly([0] * j + [1], QQ)}, None))) for _, i, j, k in triples
+        next(iter(_integer_row({(i, k): Poly([0] * j + [1], QQ)}))) for _, i, j, k in triples
     ]
     assert keys == [_rank(i, j, k) for _, i, j, k in triples]
     assert all(a < b for a, b in zip(keys, keys[1:]))
@@ -596,14 +596,20 @@ def test_gk_cubic_formula_other_presentations():
     fs = [[1, 1], [0, 3], [5, 2]]
     gs = [[], [1], [0, 1], [2, -1], [0, 0, 1], [-3, 0, Fraction(1, 2)]]
     cubic = [comb(n + 3, 3) for n in range(8)]
-    for field in (QQ, F7, FieldSpec(2)):
-        for q, f, g in itertools.product((0, 1, 2, -1), fs, gs):
-            if field.p == 2 and Fraction(1, 2) in g:
-                g = [1, 0, 1]
-            A = algebra(field, q, f, g)
-            if A.f.degree() != 1:
-                continue  # 2h + 5 is 1 over F_2
-            assert list(gk_dimension_sequence(A, 7).dims) == cubic, (field, q, f, g)
+    cases = [
+        (field, q, f, g)
+        for field in (QQ, F7, FieldSpec(2))
+        for q, f, g in itertools.product((0, 1, 2, -1), fs, gs)
+    ]
+    # off the grid: q = 3, f = h with a constant g, and f with a negative lead
+    cases += [(QQ, 3, [1, 2], [5, 1]), (QQ, 1, [0, 1], [2]), (QQ, -1, [4, -1], [0, 1])]
+    for field, q, f, g in cases:
+        if field.p == 2 and Fraction(1, 2) in g:
+            g = [1, 0, 1]
+        A = algebra(field, q, f, g)
+        if A.f.degree() != 1:
+            continue  # 2h + 5 is 1 over F_2
+        assert list(gk_dimension_sequence(A, 7).dims) == cubic, (field, q, f, g)
 
 
 @pytest.mark.parametrize("field", [QQ, F7, FieldSpec(2)], ids=["Q", "F7", "F2"])
