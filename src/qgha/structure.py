@@ -263,9 +263,10 @@ class GrowthReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _integer_row(terms: dict) -> dict:
+def _integer_row(terms: dict, p: Optional[int]) -> dict:
     """Coordinates of a terms map on the normal monomials x^i h^j y^k, times
-    the lcm of its denominators (1 over F_p, where they are residues).
+    the lcm of its denominators over Q; over F_p (p given) they are the
+    residues themselves.
 
     A monomial is keyed by its rank among the triples (d, i, j), d = i+j+k:
     d(d+1)(2d+1)/6 counts the pairs 0 <= i, j <= e for e < d, and
@@ -273,7 +274,7 @@ def _integer_row(terms: dict) -> dict:
     (i+j+k, i, j, k), since k = d - i - j, so max() of a row is its pivot;
     and one int needs no field width, whatever the degree cap.
     """
-    den = lcm(*(t._den for t in terms.values()))
+    den = 1 if p is not None else lcm(*(t._den for t in terms.values()))
     row = {}
     for (i, k), t in terms.items():
         nums = t._nums
@@ -354,7 +355,7 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
 
     one = Poly.one(field)
     unit = {(0, 0): one}
-    reduce_insert(_integer_row(unit))
+    reduce_insert(_integer_row(unit, p))
     dims = [len(echelon)]
     frontier = [unit]
     gens = [(g, {}) for g in ({(1, 0): one}, {(0, 1): one}, {(0, 0): Poly.h(field)})]
@@ -364,7 +365,7 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
         for terms in frontier:
             for right, rows in gens:
                 candidate = _times(algebra, terms, right, orbits, rows)
-                if reduce_insert(_integer_row(candidate)):
+                if reduce_insert(_integer_row(candidate, p)):
                     new_frontier.append(candidate)
         dims.append(len(echelon))
         frontier = new_frontier

@@ -556,15 +556,15 @@ def test_integer_row_scales_by_the_denominator_lcm():
         (0, 0): Poly([Fraction(-5, 4), 0, Fraction(2, 3)], QQ),
     }
     # x^i h^j y^k is keyed by its rank; lcm(2, 12) = 12
-    assert _integer_row(terms) == {_rank(1, 1, 1): 6, _rank(0, 0, 0): -15, _rank(0, 2, 0): 8}
-    assert _integer_row({(0, 2): Poly([3, 0, 6], F7)}) == {_rank(0, 0, 2): 3, _rank(0, 2, 2): 6}
-    assert _integer_row({}) == {}
+    assert _integer_row(terms, None) == {_rank(1, 1, 1): 6, _rank(0, 0, 0): -15, _rank(0, 2, 0): 8}
+    assert _integer_row({(0, 2): Poly([3, 0, 6], F7)}, 7) == {_rank(0, 0, 2): 3, _rank(0, 2, 2): 6}
+    assert _integer_row({}, None) == _integer_row({}, 7) == {}
     # the keys rise strictly in (i+j+k, i, j, k) order, so max() is the pivot
     triples = sorted(
         (i + j + k, i, j, k) for i, j, k in itertools.product(range(7), repeat=3) if i + j + k <= 6
     )
     keys = [
-        next(iter(_integer_row({(i, k): Poly([0] * j + [1], QQ)}))) for _, i, j, k in triples
+        next(iter(_integer_row({(i, k): Poly([0] * j + [1], QQ)}, None))) for _, i, j, k in triples
     ]
     assert keys == [_rank(i, j, k) for _, i, j, k in triples]
     assert all(a < b for a, b in zip(keys, keys[1:]))
