@@ -13,16 +13,16 @@ meaning  sum_{i,k} x^i p_ik(h) y^k.  Straightening rests on
 
 where sigma substitutes f for h and Gamma_c = sum_{j<c} q^{c-1-j} sigma^j(g).
 Products straighten in `_times`, which `Element.__mul__` and the growth
-experiment both call; each keeps one memo of sigma-orbits, per product or
-per run, so a polynomial met again is not composed with f again.  `_times`
+experiment both call; each keeps one memo p -> sigma(p), per product or per
+run, so a polynomial met again is not composed with f again.  `_times`
 multiplies by distributivity: y^k times the right operand is straightened
 once per distinct k, with right terms that meet on one monomial summed, and
 each left term then multiplies into that row.  A product builds its rows
 afresh; the growth experiment keeps one set per generator x, y, h for the
 whole run, since its right operand is always one of the three.  The
 normal forms of y^b x^c that `_times` reads come from the same loop and the
-same memo: y x^c in closed form, with sigma^j(g) read from g's orbit, and
-y^b x^c as y times y^{b-1} x^c.  Every substitution of f goes through
+same memo: y x^c in closed form, each sigma^j(g) one step on from the last,
+and y^b x^c as y times y^{b-1} x^c.  Every substitution of f goes through
 `poly._sigma`.
 """
 
@@ -37,7 +37,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .fields import FieldSpec, Scalar
-from .poly import NEG_INF, Poly, _orbit, _pow_str, _sigma, _terms_str, sigma_pow
+from .poly import NEG_INF, Poly, _pow_str, _power, _sigma, _terms_str, sigma_pow
 
 DEG_BOTTOM = (NEG_INF, NEG_INF)
 
@@ -184,7 +184,7 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check(other)
-            # sigma^s(p) recurs across straightening terms: one orbit memo and
+            # sigma^s(p) recurs across straightening terms: one sigma memo and
             # one set of rows per product
             return Element(self.algebra, _times(self.algebra, self.terms, other.terms, {}, {}))
         if isinstance(other, (Scalar, int)):
@@ -199,15 +199,8 @@ class Element:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        # square and multiply: x^n, y^n and h^n take O(log n) products
-        result, square = self.algebra.one(), self
-        while exponent:
-            if exponent & 1:
-                result = result * square
-            exponent >>= 1
-            if exponent:
-                square = square * square
-        return result
+        # x^n, y^n and h^n take O(log n) products
+        return _power(self, self.algebra.one(), exponent)
 
     def __eq__(self, other):
         if not isinstance(other, Element):
@@ -264,12 +257,13 @@ def _term(i: int, p: Poly, k: int) -> tuple:
     return c, [_pow_str("x", i), middle, _pow_str("y", k)]
 
 
-def _yx_terms(algebra: AlgebraParams, b: int, c: int, orbits: dict) -> dict:
+def _yx_terms(algebra: AlgebraParams, b: int, c: int, images: dict) -> dict:
     """Terms map of the normal form of y^b x^c (shared memo; treat as frozen).
 
     y x^n = q^n x^n y + x^{n-1} Gamma_n for n = 1..c, where Gamma_n =
     q Gamma_{n-1} + sigma^{n-1}(g) takes Gamma_{n-1} from the memoized
-    y x^{n-1} and sigma^{n-1}(g) from g's orbit in `orbits`; then
+    y x^{n-1}, and sigma^{n-1}(g) steps on from the last one computed
+    through the sigma memo `images`, so a deep c is not quadratic; then
     y^b x^c = y * (y^{b-1} x^c) for b = 2.. through `_times`.  Both loops
     fill the memo upwards and skip what it already holds.
     """
@@ -281,18 +275,17 @@ def _yx_terms(algebra: AlgebraParams, b: int, c: int, orbits: dict) -> dict:
     if b == 0 or c == 0:
         memo[b, c] = {(c, b): one}  # x^c or y^b
         return memo[b, c]
-    q, g_orbit = algebra.q, _orbit(orbits, algebra.g)
+    q, g, j = algebra.q, algebra.g, 0  # g holds sigma^j of the algebra's g
     for n in range(1, c + 1):
         if (1, n) not in memo:
-            gamma = _sigma(algebra.f, orbits, g_orbit, n - 1)
+            g, j = _sigma(algebra.f, images, g, n - 1 - j), n - 1
             previous = memo.get((1, n - 1), {}).get((n - 2, 0))
-            if previous is not None:
-                gamma = q * previous + gamma
+            gamma = g if previous is None else q * previous + g
             terms = {(n, 1): q**n * one, (n - 1, 0): gamma}
             memo[1, n] = {key: p for key, p in terms.items() if not p.is_zero()}
     for bb in range(2, b + 1):
         if (bb, c) not in memo:
-            memo[bb, c] = _times(algebra, {(0, 1): one}, memo[bb - 1, c], orbits, {})
+            memo[bb, c] = _times(algebra, {(0, 1): one}, memo[bb - 1, c], images, {})
     return memo[b, c]
 
 
@@ -308,7 +301,7 @@ def yx_expand(b: int, c: int, algebra: AlgebraParams) -> Element:
 
 
 def _times(
-    algebra: AlgebraParams, terms: dict, right_terms: dict, orbits: dict, rows: dict
+    algebra: AlgebraParams, terms: dict, right_terms: dict, images: dict, rows: dict
 ) -> dict:
     """Terms map of terms * right_terms, nonzero polynomials only.
 
@@ -319,14 +312,13 @@ def _times(
     `rows`, with right terms that land on one key summed first.
     `rows` maps k1 to R and must only ever meet one right operand; its
     rows are read-only once built.  Each left term then costs one product
-    sigma^s(p1) * r per term x^s r y^u of R, and looks up its own orbit only
-    for s >= 1.
-    `orbits` maps a polynomial's (_nums, _den) to its sigma-orbit
-    [p, sigma(p), ...], which `_sigma` extends in place.  Both operands are
-    served from it, so a caller that keeps one memo across many products
-    composes each distinct polynomial once.  Both sums are written out
-    rather than calling `_acc`: in a gk run, where every left term has its
-    own k1, the calls cost ~1% more opcodes.
+    sigma^s(p1) * r per term x^s r y^u of R.
+    `images` maps a polynomial's (_nums, _den) to sigma of it, and `_sigma`
+    fills it as it steps.  Both operands are served from it, so a caller
+    that keeps one memo across many products composes each distinct
+    polynomial once.  Both sums are written out rather than calling `_acc`:
+    in a gk run, where every left term has its own k1, the calls cost ~1%
+    more opcodes.
     """
     f = algebra.f
     out: dict[tuple[int, int], Poly] = {}
@@ -335,19 +327,12 @@ def _times(
         if row is None:
             row = rows[k1] = {}
             for (i2, k2), p2 in right_terms.items():
-                right = _orbit(orbits, p2)
-                for (s, t), w in _yx_terms(algebra, k1, i2, orbits).items():
-                    key, p = (s, t + k2), w * _sigma(f, orbits, right, t)
+                for (s, t), w in _yx_terms(algebra, k1, i2, images).items():
+                    key, p = (s, t + k2), w * _sigma(f, images, p2, t)
                     cur = row.get(key)
                     row[key] = p if cur is None else cur + p
-        left = None
         for (s, u), r in row.items():
-            if s:
-                if left is None:
-                    left = _orbit(orbits, p1)
-                p = _sigma(f, orbits, left, s) * r
-            else:
-                p = p1 * r
+            p = _sigma(f, images, p1, s) * r
             key = (i1 + s, u)
             cur = out.get(key)
             if cur is not None:

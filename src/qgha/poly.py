@@ -420,15 +420,7 @@ class Poly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        # square and multiply, as `Element.__pow__`: O(log n) products
-        result, square = Poly.one(self.field), self
-        while exponent:
-            if exponent & 1:
-                result = result * square
-            exponent >>= 1
-            if exponent:
-                square = square * square
-        return result
+        return _power(self, Poly.one(self.field), exponent)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -499,10 +491,6 @@ class Poly:
             acc = spread
         return Poly._canonical(acc, den, self.field)
 
-    def derivative(self) -> Poly:
-        nums = [i * v for i, v in enumerate(self._nums)]
-        return Poly._make(nums[1:], self._den, self.field)
-
     # -- display -----------------------------------------------------------
 
     def __str__(self):
@@ -510,6 +498,19 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def _power(base, one, exponent: int):
+    """base^exponent by square and multiply through `*`: O(log n) products.
+    `Poly.__pow__` and `Element.__pow__` both call it, with their own one."""
+    result, square = one, base
+    while exponent:
+        if exponent & 1:
+            result = result * square
+        exponent >>= 1
+        if exponent:
+            square = square * square
+    return result
 
 
 def _pow_str(letter: str, e: int) -> str:
@@ -538,34 +539,18 @@ def _terms_str(terms) -> str:
     return "".join(pieces) or "0"
 
 
-def _orbit(orbits: dict, p: Poly) -> list:
-    """The sigma-orbit [p, sigma(p), ...] that the memo `orbits` keeps for p,
-    keyed by p's integers."""
-    key = (p._nums, p._den)
-    orbit = orbits.get(key)
-    if orbit is None:
-        orbit = orbits[key] = [p]
-    return orbit
-
-
-def _sigma(f: Poly, orbits: dict, orbit: list, s: int) -> Poly:
-    """sigma^s(orbit[0]), extending orbit = [p, sigma(p), ...] as needed.
-
-    Each step reads sigma(r) of the last entry r from r's own orbit in the
-    memo `orbits`, composing only when that orbit has no second entry yet,
-    so no polynomial is composed twice for one memo.
+def _sigma(f: Poly, images: dict, p: Poly, s: int) -> Poly:
+    """sigma^s(p) in s steps through the memo `images`, which maps a
+    polynomial's (_nums, _den) to its image under sigma.  A step composes
+    with f only on a miss, so no polynomial is composed twice for one memo.
     """
-    while len(orbit) <= s:
-        if orbit[0].degree() < 1:
-            return orbit[0]  # sigma fixes constants
-        last = orbit[-1]
-        own = _orbit(orbits, last)
-        if len(own) == 1:
-            own.append(last.compose(f))
-            if own is orbit:
-                continue
-        orbit.append(own[1])
-    return orbit[s]
+    while s and len(p._nums) > 1:  # sigma fixes constants
+        key = (p._nums, p._den)
+        image = images.get(key)
+        if image is None:
+            image = images[key] = p.compose(f)
+        p, s = image, s - 1
+    return p
 
 
 def sigma_pow(f: Poly, k: int, p: Poly) -> Poly:
@@ -578,8 +563,7 @@ def sigma_pow(f: Poly, k: int, p: Poly) -> Poly:
     if k < 0:
         raise InvalidArgument("k must be nonnegative")
     f._check(p)
-    orbits: dict = {}
-    return _sigma(f, orbits, _orbit(orbits, p), k)
+    return _sigma(f, {}, p, k)
 
 
 def _pull_back(g: Poly, u: Scalar, v: Scalar) -> Poly:

@@ -297,9 +297,10 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
     keeps this order.  Each step right-multiplies the previous step's novel
     products by each generator in `_times`, reduces the integer coordinate
     row against the echelon and inserts what is new, so dims are
-    deterministic.  One sigma-orbit memo serves the whole run: a frontier
-    element and its products hold the same polynomials, and sigma^k(h)
-    lives there too, so each distinct polynomial is composed with f once.
+    deterministic.  One sigma memo p -> sigma(p) serves the whole run: a
+    frontier element and its products hold the same polynomials, and the
+    steps of sigma^k(h) are kept there too, so each distinct polynomial is
+    composed with f once.
     Each generator keeps its rows y^k1 * generator for the whole run too, so
     a run straightens at most 3 * (max_n + 1) of them.
     Rows are scaled freely, which leaves their span unchanged: over Q they
@@ -359,12 +360,12 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
     dims = [len(echelon)]
     frontier = [unit]
     gens = [(g, {}) for g in ({(1, 0): one}, {(0, 1): one}, {(0, 0): Poly.h(field)})]
-    orbits: dict = {}
+    images: dict = {}
     for _ in range(max_n):
         new_frontier = []
         for terms in frontier:
             for right, rows in gens:
-                candidate = _times(algebra, terms, right, orbits, rows)
+                candidate = _times(algebra, terms, right, images, rows)
                 if reduce_insert(_integer_row(candidate, p)):
                     new_frontier.append(candidate)
         dims.append(len(echelon))

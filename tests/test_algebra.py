@@ -1,5 +1,7 @@
 import itertools
+import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,8 +21,9 @@ from qgha import (
     yx_expand,
 )
 from qgha import poly as poly_module
-from qgha.algebra import _times
+from qgha.algebra import _times, _yx_terms
 from qgha.errors import AlgebraMismatch, DegenerateAlgebra, FieldMismatch
+from qgha.serial import load_algebra
 
 from conftest import QQ, F7, algebra, random_element, random_poly, rng_for
 
@@ -105,6 +108,51 @@ def test_yx_expand_matches_oracle_on_words(alg_q2_h2p1_h3, alg_f7):
             expected = reduce_word("y" * b + "x" * c, fresh)
             assert yx_expand(b, c, fresh) == expected, (params, b, c)
             assert yx_expand(b, c, shared) == expected, (params, b, c)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_deep_yx_expand_matches_gamma_sum(field):
+    # y x^c = q^c x^c y + x^(c-1) Gamma_c, Gamma_c = sum_{j<c} q^(c-1-j) sigma^j(g):
+    # each sigma^j(g) here walks j steps from g, independently of the
+    # step-on loop in `_yx_terms`
+    A = algebra(field, 3, [1, 2], [1, 0, 1])  # f = 2h + 1, g = h^2 + 1
+    c = 200
+    gamma = Poly.zero(field)
+    for j in range(c):
+        gamma = gamma + A.q ** (c - 1 - j) * sigma_pow(A.f, j, A.g)
+    expected = Element(A, {(c, 1): Poly.const(A.q**c), (c - 1, 0): gamma})
+    # each sigma^(n-1)(g) is one memo step on from sigma^(n-2)(g): c - 1 steps
+    # in all, where walking from g for every n would take c (c - 1) / 2
+    images = _CountingDict()
+    assert Element(A, dict(_yx_terms(A, 1, c, images))) == expected
+    assert images.lookups == c - 1
+    assert yx_expand(1, c, A) == expected
+
+
+class _CountingDict(dict):
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+_LINEAR = os.path.join(
+    os.path.dirname(os.path.dirname(__file__)), "perfbench", "corpus", "linear.json"
+)
+
+
+@pytest.mark.parametrize("b, c", [(1, 1500), (1500, 1)], ids=["y*x^1500", "y^1500*x"])
+def test_deep_products_on_a_linear_f_are_fast(b, c):
+    # y * x^1500 fills Gamma_c up to c = 1500 and y^1500 * x multiplies y in
+    # 1500 times; a loop that walked sigma^(n-1)(g) from g for every n would
+    # be quadratic in c
+    A = load_algebra(_LINEAR)
+    x, y, _ = A.generators()
+    start = time.perf_counter()
+    product = y**b * x**c
+    assert time.perf_counter() - start < 1.0
+    assert product.deg_lex() == (c, b)
 
 
 def test_deg_lex(alg_q1_h2_h):
@@ -354,7 +402,7 @@ def test_multiply_orbits_match_references(seed, index, max_deg):
 def test_powers_share_orbits_between_operands(seed, index):
     A = _ORBIT_ALGEBRAS[index]
     e = random_element(random.Random(seed), A, max_support=2, max_exp=2, max_deg=2)
-    # both operands of e * e hold the same polynomials, so one orbit serves both
+    # both operands of e * e hold the same polynomials, so one sigma memo serves both
     square = oracle_multiply(e, e)
     assert e * e == square
     assert e**3 == oracle_multiply(e, square)
@@ -362,7 +410,7 @@ def test_powers_share_orbits_between_operands(seed, index):
 
 @pytest.mark.parametrize("field", [QQ, FieldSpec(1009)], ids=str)
 def test_product_through_a_65_coefficient_compose(field):
-    # h * x^7 = x^7 sigma^7(h): the orbit composes sigma^6(h), 65
+    # h * x^7 = x^7 sigma^7(h): the last step composes sigma^6(h), 65
     # coefficients, with f = h^2 + 300, whose numerators exceed a byte
     A = algebra(field, 2, [300, 0, 1], [0, 1])
     h = Element.monomial(A, 0, Poly.h(field), 0)
@@ -424,11 +472,11 @@ def test_product_straightens_the_right_operand_once_per_k1(monkeypatch, alg_q2_h
     factored = sum(len(keys[k1]) for k1 in keys) + sum(len(set(keys[k1])) for _, k1 in a.terms)
     termwise = 2 * sum(len(keys[k1]) for _, k1 in a.terms)
     assert factored < termwise
-    orbits: dict = {}
-    expected = _times(A, a.terms, b.terms, orbits, {})
-    # with the orbit memo filled, every _int_conv call is a product in _times
+    images: dict = {}
+    expected = _times(A, a.terms, b.terms, images, {})
+    # with the sigma memo filled, every _int_conv call is a product in _times
     calls = []
     int_conv = poly_module._int_conv
     monkeypatch.setattr(poly_module, "_int_conv", lambda x, y: calls.append(1) or int_conv(x, y))
-    assert _times(A, a.terms, b.terms, orbits, {}) == expected
+    assert _times(A, a.terms, b.terms, images, {}) == expected
     assert 0 < len(calls) <= factored

@@ -24,6 +24,7 @@ from qgha import (
     is_domain,
     is_noetherian,
     noetherian_witness_check,
+    oracle_multiply,
     reduce_word,
     sigma_pow,
     solve_sigma_q,
@@ -482,12 +483,12 @@ def test_times_generator_matches_element_product(seed, index):
     A = _RIGHT_MULTIPLY_ALGEBRAS[index]
     rng = random.Random(seed)
     gens = A.generators()
-    # one orbit memo for every product, as across a gk run
-    orbits: dict = {}
+    # one sigma memo for every product, as across a gk run
+    images: dict = {}
     for _ in range(2):
         e = random_element(rng, A)
         for gen in gens:
-            product = _times(A, e.terms, gen.terms, orbits, {})
+            product = _times(A, e.terms, gen.terms, images, {})
             assert Element(A, product) == e * gen
             assert all(not p.is_zero() for p in product.values())
 
@@ -510,6 +511,38 @@ def test_gk_run_composes_each_polynomial_once(monkeypatch):
     # sigma^k(h), and y^b x^c and Gamma_c read sigma from the same orbits, so
     # no (outer, inner) pair is composed twice
     assert composed and len(composed) == len(set(composed))
+
+
+@pytest.mark.parametrize(
+    "field, f",
+    [(QQ, [1, -1]), (QQ, [1, 0, 1]), (F7, [0, 0, 1])],
+    ids=["Q-1-h", "Q-h^2+1", "F7-h^2"],
+)
+def test_product_and_sigma_pow_compose_each_polynomial_once(field, f, monkeypatch):
+    # 1 - h has period 2 (h -> 1 - h -> h), so a walk that does not store
+    # what it composes meets the pair (h, f) again
+    A = algebra(field, 2, f, [0, 1])  # fresh, so the y^b x^c memo is empty
+    h, one = Poly.h(field), Poly.one(field)
+    e = Element(A, {(2, 1): h, (1, 0): h, (0, 2): h + one, (0, 0): h})
+    compose = Poly.compose
+    composed: list = []
+
+    def tracked_compose(p, inner):
+        composed.append((p._nums, p._den, inner._nums, inner._den))
+        return compose(p, inner)
+
+    monkeypatch.setattr(Poly, "compose", tracked_compose)
+    square = e * e
+    assert composed and len(composed) == len(set(composed))
+    composed.clear()
+    sigma = sigma_pow(A.f, 6, h)
+    assert composed and len(composed) == len(set(composed))
+    monkeypatch.undo()
+    assert square == oracle_multiply(e, e)
+    expected = h
+    for _ in range(6):
+        expected = expected.compose(A.f)
+    assert sigma == expected
 
 
 def test_gk_run_builds_each_generator_row_once(monkeypatch):
