@@ -199,7 +199,6 @@ class Element:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        # x^n, y^n and h^n take O(log n) products
         return _power(self, self.algebra.one(), exponent)
 
     def __eq__(self, other):
