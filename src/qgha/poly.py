@@ -6,17 +6,21 @@ over one denominator `_den`.  `_normal` keeps the form canonical: over F_p
 the numerators are residues in [0, p) and `_den` is 1; over Q, `_den` > 0
 and gcd(content, `_den`) is 1.  So equal polynomials have equal integers,
 and addition, multiplication and composition run one integer code path for
-both fields.  A `Scalar` is built only at the boundary, when a caller asks
-for one: `_scalar` turns one numerator into one, and `coeffs`, `lead`,
-`coeff` and `monomials` read through it on each call; `evaluate` composes
-with a constant inner.  The zero polynomial has no numerators and degree
-NEG_INF, which compares below every integer.
+both fields.  Each result is built in one step: `_make` normalises its
+integers and fills the three slots, `_canonical` fills them with integers
+already canonical.  A sum over equal denominators, as always over F_p,
+adds the numerators with no lcm.  A `Scalar` is built only at the boundary:
+`_scalar` turns one numerator into one, and `coeffs`, `lead`, `coeff` and
+`monomials` read through it on each call; `evaluate` composes with a
+constant inner.  The zero polynomial has no numerators and degree NEG_INF,
+which compares below every integer.
 
-Products of coefficient lists (`_int_conv`) run a schoolbook loop on short
-operands and a Kronecker substitution on longer ones: each list is packed
-into one integer with fixed-width signed lanes (`_pack`/`_unpack`), sized
-from an exact coefficient bound, and CPython multiplies the two integers.
-Lanes of up to 8 bytes are widened to 1, 2, 4 or 8, so that `array` and
+Products of coefficient lists (`_int_conv`) scale a copy by a
+one-coefficient operand, run a schoolbook loop on short operands and a
+Kronecker substitution on longer ones: each list is packed into one
+integer with fixed-width signed lanes (`_pack`/`_unpack`), sized from an
+exact coefficient bound, and CPython multiplies the two integers.  Lanes
+of up to 8 bytes are widened to 1, 2, 4 or 8, so that `array` and
 `memoryview` convert them in native byte order with no per-lane Python
 work; an XOR offset of 0x80 atop every lane maps the signed sum to the
 lanes' two's complement and back.  Wider lanes are cut by
@@ -28,17 +32,13 @@ linear inner, those of f = c h^s scale each coefficient, and those of
 f = h^s only re-index the outer's numerators.  It then splits the outer as
 A + h^k B, with k a power of two, and rebuilds it from its two halves and
 the memoized power m^k of the inner numerators, reducing mod p at every
-node; blocks of up to a leaf's length, a short outer whole, run Horner on
-one packed integer.  By a linear inner m0 + m1 h, the Taylor shifts that
-f = h^2 + c leaves, a Horner step is acc * m0 + (acc * m1 << lane width):
-two multiplies by small integers and a shift instead of a multiply by the
-two-lane packed inner, so over Q those leaves run up to 256 coefficients.
-Over Q the split gives way to Horner on coefficient lists once the
-result's coefficient bound is long for the outer length, where Karatsuba
-products of huge integers cost more than Horner's big-by-small steps.  All
-paths are exact, so they give the same results.
-A result is normalised once, before the spread: spreading canonical
-numerators keeps them canonical.
+node; blocks of up to a leaf's length run Horner on one packed integer.
+By a linear inner m0 + m1 h a Horner step is acc * m0 + (acc * m1 << lane
+width), two multiplies by small integers and a shift, so over Q those
+leaves run up to 256 coefficients.  Over Q the split gives way to Horner
+on coefficient lists once the result's coefficient bound is long for the
+outer length.  All paths are exact, so they give the same results.  A
+result is normalised once, before the spread, which keeps it canonical.
 """
 
 from __future__ import annotations
@@ -56,34 +56,18 @@ from .fields import FieldSpec, Scalar
 NEG_INF = float("-inf")
 
 
-# Measured cutoffs (CPython 3.11, 2-vCPU VM); exact arithmetic makes every
-# path give the same result, so these only pick the faster one.
-# `_int_conv` multiplies packed integers once la*lb / (la+lb) reaches this:
-# packing costs about la+lb lane conversions, schoolbook la*lb products.
+# Measured cutoffs (CPython 3.11; the numbers are in BENCH_23.json): every
+# path is exact, so these only pick the faster one.
+# Pack once la*lb / (la+lb) reaches this: la+lb lane conversions beat la*lb products.
 _PACK_MIN = 9
-# Over Q the result coefficients grow with the outer length; Horner wins
-# again once their bound exceeds _SPLIT_BITS * sqrt(outer length) bits.
-# Measured crossovers sit within 85..120 * sqrt(length) for three-term
-# inners (h^2 + 1 at length ~2800 to h^2 + 3h + 2^15 at ~50).  For linear
-# ones, what f = h^2 + c leaves after `compose` takes out the exponent gcd,
-# the shift-and-add leaves put them within 100..170 for outers past one
-# leaf: at 100 * sqrt(length) the packed path ran in 0.3-0.96x Horner's
-# time for h + 1, h + 3, h - 5, 3h + 7 and (h + 1)/2 at lengths 50-2000,
-# and at 125 it lost at length 300 for h - 5 and 3h + 7 (1.1x, 1.2x).  So
-# 90 serves both.  Over F_p every node is reduced, so the split always runs.
+# Over Q, list Horner past _SPLIT_BITS * sqrt(outer length) bits: huge Karatsuba costs more.
 _SPLIT_BITS = 90
 # Longest block that the divide-and-conquer compose evaluates by Horner on
 # one packed integer, whose lanes hold the block's unreduced result: at
 # most _LEAF_MAX coefficients and lanes of about _LEAF_BITS bits.
 _LEAF_MAX = 64
 _LEAF_BITS = 256
-# A linear inner steps by shift-and-add, and over Q no node is reduced, so
-# its leaves are longer: leaves of up to 256 coefficients ran the Taylor
-# shifts of two `products` rounds (h + 1, lengths up to 241) in 0.70x the
-# time of leaves of 64 (128: 0.80x), and p(h + c) at lengths 120-240 in
-# 0.67-0.86x.  Over F_p long leaves give up the reduction at each node:
-# 128 and 256 took 1.5x and 3.3x as long as 64 for h + 1 over F_7 at
-# length 1000.
+# Linear inners over Q step by shift-and-add and reduce no node: longer leaves.
 _LEAF_MAX_LINEAR = 256
 _LEAF_BITS_LINEAR = 512
 
@@ -142,6 +126,11 @@ def _int_conv(a, b) -> list:
     """Coefficients of the product of two integer coefficient lists."""
     if not a or not b:
         return []
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:  # a scalar: a scaled copy
+        s = a[0]
+        return [s * v for v in b]
     if len(a) * len(b) >= _PACK_MIN * (len(a) + len(b)):
         # Kronecker substitution: |c_k| <= min(len) * max|a| * max|b|
         bits = (
@@ -279,25 +268,27 @@ class Poly:
         values = [field.scalar(c).value for c in coeffs]
         den = lcm(*(v.denominator for v in values))
         nums = [v.numerator * (den // v.denominator) for v in values]
-        self._set(*_normal(nums, den, field.p), field)
-
-    def _set(self, nums, den: int, field: FieldSpec) -> None:
-        """Store nums / den, which must already be canonical (`_normal`)."""
+        nums, self._den = _normal(nums, den, field.p)
         self._nums = tuple(nums)
-        self._den = den
         self.field = field
 
     @classmethod
     def _canonical(cls, nums, den: int, field: FieldSpec) -> Poly:
         """The Poly nums / den, for nums and den already canonical."""
         self = object.__new__(cls)
-        self._set(nums, den, field)
+        self._nums = tuple(nums)
+        self._den = den
+        self.field = field
         return self
 
     @classmethod
     def _make(cls, nums: list, den: int, field: FieldSpec) -> Poly:
         """The Poly nums / den, made canonical."""
-        return cls._canonical(*_normal(nums, den, field.p), field)
+        self = object.__new__(cls)
+        nums, self._den = _normal(nums, den, field.p)
+        self._nums = tuple(nums)
+        self.field = field
+        return self
 
     def _scalar(self, num: int) -> Scalar:
         """num / _den as a Scalar of this field (over F_p, _den is 1)."""
@@ -314,11 +305,11 @@ class Poly:
 
     @classmethod
     def zero(cls, field: FieldSpec) -> Poly:
-        return cls._make([], 1, field)
+        return cls._canonical((), 1, field)
 
     @classmethod
     def one(cls, field: FieldSpec) -> Poly:
-        return cls._make([1], 1, field)
+        return cls._canonical((1,), 1, field)
 
     @classmethod
     def const(cls, value: Scalar) -> Poly:
@@ -326,7 +317,7 @@ class Poly:
 
     @classmethod
     def h(cls, field: FieldSpec) -> Poly:
-        return cls._make([0, 1], 1, field)
+        return cls._canonical((0, 1), 1, field)
 
     # -- inspection ------------------------------------------------------
 
@@ -363,23 +354,30 @@ class Poly:
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: Poly) -> None:
-        if self.field is not other.field and self.field != other.field:
+        if self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check(other)
+        field = self.field
+        if other.field is not field:
+            self._check(other)
         a, b = self._nums, other._nums
         da, db = self._den, other._den
         if len(a) < len(b):
             a, b, da, db = b, a, db, da
+        if da == db:  # always over F_p
+            out = list(a)
+            for i, v in enumerate(b):
+                out[i] += v
+            return Poly._make(out, da, field)
         den = lcm(da, db)
         fa, fb = den // da, den // db
         out = [v * fa for v in a]
         for i, v in enumerate(b):
             out[i] += v * fb
-        return Poly._make(out, den, self.field)
+        return Poly._make(out, den, field)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -391,18 +389,19 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            self._check(other)
+            field = self.field
+            if other.field is not field:
+                self._check(other)
+            a, b = self._nums, other._nums
             # products by the constant 1 are common in straightening
-            if self._nums == (1,) and self._den == 1:
+            if a == (1,) and self._den == 1:
                 return other
-            if other._nums == (1,) and other._den == 1:
+            if b == (1,) and other._den == 1:
                 return self
-            if self.is_zero() or other.is_zero():
-                return Poly.zero(self.field)
-            check_degree(self.degree() + other.degree())
-            return Poly._make(
-                _int_conv(self._nums, other._nums), self._den * other._den, self.field
-            )
+            if not a or not b:
+                return Poly.zero(field)
+            check_degree(len(a) + len(b) - 2)
+            return Poly._make(_int_conv(a, b), self._den * other._den, field)
         if isinstance(other, (Scalar, int)):
             s = self.field.scalar(other).value
             return Poly._make(
@@ -447,31 +446,27 @@ class Poly:
         With self = sum n_i h^i / D of degree d and inner = m / E,
         self(inner) = (sum n_i m^i E^(d-i)) / (D E^d).  When the exponents
         of m's nonconstant terms share a gcd s > 1, m = M(h^s) and the sum
-        is computed with M, then written to every s-th place: half the
-        length for f = h^2 + c.  If M is c h, the sum is n_i c^i E^(d-i)
-        per coefficient; if M is h and E is 1, it is self's own numerators,
-        so f = h^s only re-indexes them.  Otherwise self splits its
-        coefficients in halves (`_compose_split`) down to blocks that run
-        Horner on one packed integer, so the long products are Kronecker
-        products; only a result over Q with long coefficients for its
-        length (`_split_leaf`) runs Horner over coefficient lists.  Both
-        pick their path from M.  A zero self or inner needs no kernel: the
-        result is self's constant term.  The sum is normalised once, before
-        the spread, which keeps it canonical.
+        is computed with M, then written to every s-th place.  If M is c h,
+        the sum is n_i c^i E^(d-i) per coefficient; if M is h and E is 1,
+        it is self's own numerators.  Otherwise `_split_leaf` picks the
+        split (`_compose_split`), one packed Horner block, or, over Q with
+        long coefficients for the length, Horner over lists.  A zero self
+        or inner needs no kernel: the result is self's constant term.
         """
-        self._check(inner)
-        if self.degree() >= 1 and inner.degree() >= 1:
-            check_degree(self.degree() * inner.degree())
-        p = self.field.p
+        field = self.field
+        if inner.field is not field:
+            self._check(inner)
         nums, m, e = self._nums, inner._nums, inner._den
         d = len(nums) - 1
+        if d >= 1 and len(m) >= 2:
+            check_degree(d * (len(m) - 1))
+        p = field.p
         # inner = M(h^step): compose with M, then spread to every step-th place
         step = gcd(*(j for j in range(1, len(m)) if m[j]))
         if step > 1:
             m = m[::step]
-        den = self._den * e ** max(d, 0)
         if m == (0, 1) and e == 1:  # M = h: self's numerators, canonical
-            acc = nums
+            acc, den = nums, self._den
         else:
             if not nums or not m:
                 acc = list(nums[:1])
@@ -483,13 +478,13 @@ class Poly:
                 acc = _horner_packed(nums, m, e)
             else:
                 acc = _compose_split(nums, m, e, p, [m], leaf)
-            acc, den = _normal(acc, den, p)
+            acc, den = _normal(acc, self._den * e ** max(d, 0), p)
         if step > 1 and acc:
             # a spread of canonical numerators is canonical
             spread = [0] * ((len(acc) - 1) * step + 1)
             spread[::step] = acc
             acc = spread
-        return Poly._canonical(acc, den, self.field)
+        return Poly._canonical(acc, den, field)
 
     # -- display -----------------------------------------------------------
 

@@ -190,6 +190,71 @@ def test_degree_capacity_guard(set_capacity):
         big.compose(big)
 
 
+@pytest.mark.parametrize("field", [QQ, F7], ids=str)
+def test_degree_guard_at_the_exact_bound(field, set_capacity):
+    # the guard reads the degree off the operands' lengths: deg a + deg b
+    set_capacity(100)
+    a = Poly([3] * 61, field)
+    for deg_b in (39, 40):
+        assert (a * Poly([2] * (deg_b + 1), field)).degree() == 60 + deg_b
+        assert (Poly([2] * (deg_b + 1), field) * a).degree() == 60 + deg_b
+    with pytest.raises(CapacityExceeded):
+        a * Poly([2] * 42, field)
+    with pytest.raises(CapacityExceeded):
+        Poly([5, 0, 1], field) * Poly([1] * 100, field)
+    # no product is formed by a zero or a one, so they pass any degree
+    assert (Poly.zero(field) * Poly([1] * 500, field)).is_zero()
+    assert Poly.one(field) * Poly([1] * 500, field) == Poly([1] * 500, field)
+    # compose's guard is deg outer * deg inner
+    assert a.compose(Poly([1, 2], field)).degree() == 60
+    assert Poly([1] * 11, field).compose(Poly([0] * 10 + [1], field)).degree() == 100
+    with pytest.raises(CapacityExceeded):
+        Poly([1] * 102, field).compose(Poly([1, 2], field))
+    with pytest.raises(CapacityExceeded):
+        Poly([1] * 11, field).compose(Poly([0] * 10 + [1, 1], field))
+
+
+def test_equal_fields_of_distinct_objects_mix():
+    # the operators compare fields by identity first, then by equality
+    one, other = FieldSpec(7), FieldSpec(7)
+    assert one is not other
+    for xs, ys in (([3, 6, 1], [4, 1]), ([5], [2, 0, 6]), ([], [1, 1]), ([1], [6, 6])):
+        a, b = Poly(xs, one), Poly(ys, one)
+        b_other = Poly(ys, other)
+        for got, want in (
+            (a + b_other, a + b),
+            (b_other + a, b + a),
+            (a - b_other, a - b),
+            (a * b_other, a * b),
+            (b_other * a, b * a),
+            (a.compose(b_other), a.compose(b)),
+        ):
+            assert (got._nums, got._den) == (want._nums, want._den)
+            assert got.field == one
+            _assert_canonical(got)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(QQ, F7), (F5, F7), (F7, FieldSpec(2**61 - 1))],
+    ids=["Q-F7", "F5-F7", "F7-Fbig"],
+)
+def test_unequal_fields_raise_field_mismatch(first, second):
+    for xs, ys in (([1, 2], [3, 1]), ([1], [0, 1]), ([2, 1], [1]), ([], [1]), ([1, 1], [])):
+        a, b = Poly(xs, first), Poly(ys, second)
+        for op in (
+            lambda: a + b,
+            lambda: b + a,
+            lambda: a - b,
+            lambda: a * b,
+            lambda: b * a,
+            lambda: a.compose(b),
+            lambda: b.compose(a),
+        ):
+            with pytest.raises(FieldMismatch):
+                op()
+
+
 def test_str_round_trip_forms():
     assert str(P(1, -2, 1)) == "h^2 - 2*h + 1"
     assert str(P(-1, 0, -1)) == "-1*h^2 - 1"
@@ -575,6 +640,102 @@ def test_int_conv_at_the_lane_bound(n, bits):
     top = 2**bits - 1
     for a, b in (([top] * n, [top] * n), ([-top] * n, [top] * n)):
         assert poly_module._int_conv(a, b) == _reference_conv(a, b)
+
+
+# scalars: zero, signs, 200-bit magnitudes; over F_p they are residues
+_SCALARS_Q = [0, 1, -1, 7, -12, 2**200 + 3, -(2**200) + 5]
+_SCALARS_FBIG = [0, 1, 2, 2**61 - 2, 2**60 + 7]
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F_BIG], ids=str)
+def test_int_conv_by_a_one_coefficient_operand(field):
+    p = field.p
+    scalars = _SCALARS_Q if p is None else _SCALARS_FBIG if p > 7 else range(7)
+    rng = random.Random(f"one-coefficient-{field}")
+    for length in (1, 2, 3, 8, 40, 300):
+        for bits in (3, 64, 200):
+            others = [rng.randint(-(2**bits), 2**bits) for _ in range(length)]
+            if p is not None:
+                others = [v % p for v in others]
+            for s in scalars:
+                for a, b in (([s], others), (others, [s])):
+                    assert poly_module._int_conv(a, b) == _reference_conv(a, b)
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F_BIG], ids=str)
+def test_product_by_a_one_coefficient_operand(field):
+    p = field.p
+    if p is None:
+        scalars = [Fraction(s, d) for s in _SCALARS_Q for d in (1, 6)]
+    else:
+        scalars = _SCALARS_FBIG if p > 7 else range(7)
+    rng = random.Random(f"scalar-product-{field}")
+    for length in (2, 3, 40):
+        others = [
+            Fraction(rng.randint(-(2**70), 2**70), rng.choice([1, 2, 3, 12])) for _ in range(length)
+        ]
+        if p is not None:
+            others = [field.scalar(v).value for v in others]
+        other = Poly(others, field)
+        for s in scalars:
+            scalar = Poly([s], field)
+            want = Poly([field.scalar(s).value * c for c in others], field)
+            for got in (scalar * other, other * scalar):
+                assert (got._nums, got._den) == (want._nums, want._den)
+                _assert_canonical(got)
+
+
+def _sum_reference(a: Poly, b: Poly) -> Poly:
+    """a + b coefficient by coefficient, on Scalars."""
+    n = max(len(a._nums), len(b._nums))
+    return Poly([a.coeff(i) + b.coeff(i) for i in range(n)], a.field)
+
+
+_SUMS = {
+    # equal denominators: a gcd to take out, a top that cancels, all cancelling
+    "Q-equal-den": [
+        ([Fraction(1, 6), Fraction(1, 6)], [Fraction(1, 6), Fraction(1, 6)]),
+        ([Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 3), Fraction(-2, 3)]),
+        ([Fraction(1, 5), 0, Fraction(-4, 5)], [Fraction(-1, 5), 0, Fraction(4, 5)]),
+        ([2, -3, 5], [-2, 3, -5]),
+        ([2**200, 1, 7], [-(2**200), 0, -7]),
+        ([1, 2], [3, 4, 5]),
+    ],
+    # unequal denominators: an lcm, tops that cancel (a sum that cancels
+    # completely has b = -a, so equal denominators)
+    "Q-unequal-den": [
+        ([Fraction(1, 3), 0, Fraction(1, 2)], [Fraction(1, 5), 0, Fraction(-1, 2)]),
+        ([Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 3), Fraction(-1, 4)]),
+        ([Fraction(3, 2), 1], [Fraction(1, 3), 0, Fraction(5, 4)]),
+        ([Fraction(-(2**200), 3), 5], [Fraction(2**200, 3), Fraction(-9, 2)]),
+    ],
+    "F7": [([5, 6], [3, 1]), ([3, 4, 2], [4, 3, 5]), ([6, 6, 6], [1]), ([1], [0, 6]), ([], [2, 3])],
+    "Fbig": [
+        ([2**61 - 2, 3], [5, 2**61 - 4]),
+        ([2**60, 2**61 - 2], [2**60, 1]),
+        ([7], [2**61 - 8]),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SUMS))
+def test_sum_with_equal_and_unequal_denominators(case):
+    field = {"F7": F7, "Fbig": F_BIG}.get(case, QQ)
+    for xs, ys in _SUMS[case]:
+        a, b = Poly(xs, field), Poly(ys, field)
+        if case == "Q-equal-den":
+            assert a._den == b._den
+        elif case == "Q-unequal-den":
+            assert a._den != b._den
+        want = _sum_reference(a, b)
+        for got in (a + b, b + a, a - (-b)):
+            assert (got._nums, got._den) == (want._nums, want._den)
+            _assert_canonical(got)
+    # a sum that cancels completely is the canonical zero
+    for xs, ys in _SUMS[case]:
+        a = Poly(xs, field)
+        for got in (a + (-a), a - a):
+            assert (got._nums, got._den) == ((), 1)
 
 
 @pytest.mark.parametrize("field", [QQ, F7], ids=str)
