@@ -21,8 +21,14 @@ from qgha import (
     yx_expand,
 )
 from qgha import poly as poly_module
-from qgha.algebra import _times, _yx_terms
-from qgha.errors import AlgebraMismatch, DegenerateAlgebra, FieldMismatch
+from qgha.algebra import MAX_EXPONENT, _times, _yx_terms
+from qgha.errors import (
+    AlgebraMismatch,
+    CapacityExceeded,
+    DegenerateAlgebra,
+    FieldMismatch,
+    ZeroPolynomial,
+)
 from qgha.serial import load_algebra
 
 from conftest import QQ, F7, algebra, random_element, random_poly, rng_for
@@ -39,6 +45,21 @@ def test_algebra_make_flags():
         AlgebraParams(QQ, 1, Poly([0, 1], F7), Poly([0, 1], QQ))
 
 
+def test_element_rejects_large_exponents_and_foreign_coefficients(alg_q1_h2_h):
+    A = alg_q1_h2_h
+    one = Poly.one(QQ)
+    assert Element(A, {(MAX_EXPONENT, MAX_EXPONENT): one}).deg_lex() == (
+        MAX_EXPONENT,
+        MAX_EXPONENT,
+    )
+    with pytest.raises(CapacityExceeded):
+        Element(A, {(MAX_EXPONENT + 1, 0): one})
+    with pytest.raises(CapacityExceeded):
+        Element(A, {(0, MAX_EXPONENT + 1): one})
+    with pytest.raises(FieldMismatch):
+        Element(A, {(1, 0): Poly.one(F7)})
+
+
 def test_element_linear_ops(alg_q1_h2_h):
     A = alg_q1_h2_h
     x, y, h = A.generators()
@@ -46,6 +67,9 @@ def test_element_linear_ops(alg_q1_h2_h):
     assert (xh + (-1) * xh).is_zero()
     e = x * x * h * y + h * h * h
     assert e.support() == {(2, 1), (0, 0)}
+    tripled = Element(A, {key: 3 * p for key, p in e.terms.items()})
+    assert e * QQ.scalar(3) == e * 3 == 3 * e == tripled
+    assert (e * 0).is_zero()
     other = algebra(QQ, 2, [0, 0, 1], [0, 1])
     with pytest.raises(AlgebraMismatch):
         e + other.x()
@@ -230,6 +254,11 @@ def test_leading_term_product(alg_q1_h2_h):
     degenerate = algebra(QQ, 0, [0, 1], [0, 1])
     with pytest.raises(DegenerateAlgebra):
         leading_term_product((1, p, 0), (1, pt, 0), degenerate)
+    zero = Poly.zero(QQ)
+    with pytest.raises(ZeroPolynomial):
+        leading_term_product((1, zero, 0), (1, pt, 0), A)
+    with pytest.raises(ZeroPolynomial):
+        leading_term_product((1, p, 0), (1, zero, 0), A)
 
 
 def test_leading_term_matches_multiply(alg_q2_h2p1_h3, alg_f7):

@@ -318,6 +318,14 @@ def test_gdua_round_trip():
         assert from_gdua(to_gdua(A)) == A
 
 
+def test_from_gdua_rejects_mixed_fields():
+    v = Poly([0, 1], QQ)
+    with pytest.raises(FieldMismatch):
+        from_gdua(GduaPresentation(v, F7.one, QQ.one, QQ.zero))
+    with pytest.raises(FieldMismatch):
+        from_gdua(GduaPresentation(v, QQ.one, F7.one, QQ.zero))
+
+
 def test_downup_field_mismatch():
     with pytest.raises(FieldMismatch):
         downup_candidates(QQ.one, F7.one, QQ.zero)

@@ -356,6 +356,32 @@ def test_exit_code_parse(tmp_path, q2_h2_h):
     assert "position 2" in parse_err.error
 
 
+_VALID_ALGEBRA = {"field": {"type": "Q"}, "q": "1", "f": ["0", "1"], "g": ["0", "1"]}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"q": 1}, "scalar must be a string, got 1"),
+        ({"f": "0 1"}, "polynomial must be a list of scalar strings, got '0 1'"),
+        ({"field": "Q"}, "field descriptor must be an object with a type tag"),
+        ({"field": {"p": 7}}, "field descriptor must be an object with a type tag"),
+        ({"field": {"type": "Q", "p": 7}}, "rational field descriptor takes no further keys"),
+        ({"field": {"type": "Fp"}}, "prime field descriptor needs an integer p"),
+        ({"field": {"type": "Fp", "p": "7"}}, "prime field descriptor needs an integer p"),
+        ({"field": {"type": "R"}}, "unknown field type 'R'"),
+    ],
+)
+def test_schema_rejections(tmp_path, change, message):
+    data = {**_VALID_ALGEBRA, **change}
+    with pytest.raises(errors.SchemaError) as info:
+        qgha.algebra_from_dict(data)
+    assert str(info.value) == message
+    result = run(["analyze", write_algebra(tmp_path, "bad.json", data)])
+    assert result.exit_code == 2
+    assert result.error == f"error: {message}"
+
+
 _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 

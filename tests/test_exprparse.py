@@ -159,6 +159,78 @@ def test_fp_scalars():
     assert parse_element_expr("-1", B) == Element.from_scalar(B, 6)
 
 
+# A leading '-' is the sign of its atom, a number's as much as a letter's or
+# a '(''s: each text with its value, built from the generators x, y, h and
+# the scalar c(num, den) = num/den of the algebra's field.
+_SIGNED_VALUES = [
+    ("-3", lambda x, y, h, c: c(-3)),
+    ("-3/4", lambda x, y, h, c: c(-3, 4)),
+    ("-3^2", lambda x, y, h, c: c(9)),
+    ("-3/4^2", lambda x, y, h, c: c(9, 16)),
+    ("2*-3/4", lambda x, y, h, c: c(-3, 2)),
+    ("- 3", lambda x, y, h, c: c(-3)),
+    ("x*-h", lambda x, y, h, c: -(x * h)),
+    ("-(x+1)", lambda x, y, h, c: -x - c(1)),
+    ("-x^2", lambda x, y, h, c: x * x),
+    ("(-1/3)*y", lambda x, y, h, c: c(-1, 3) * y),
+    ("x - -2*y", lambda x, y, h, c: x + c(2) * y),
+    ("-0", lambda x, y, h, c: c(0)),
+]
+_SIGNED_VALUES_F7 = [("-7", lambda x, y, h, c: c(0))]
+
+# Each text with its error type, message and position (None for errors that
+# carry no position).
+_SIGN_AND_NUMBER_ERRORS = [
+    ("--3", ExprSyntaxError, "expected 'x', 'y', 'h', a scalar or '('", 0),
+    ("-/2", ExprSyntaxError, "expected 'x', 'y', 'h', a scalar or '('", 0),
+    ("-", ExprSyntaxError, "expected 'x', 'y', 'h', a scalar or '('", 0),
+    ("-3/", ExprSyntaxError, "expected digits after '/'", 3),
+    ("3/x", ExprSyntaxError, "expected digits after '/'", 2),
+    ("x^", ExprSyntaxError, "expected a nonnegative integer exponent", 2),
+    ("x^-1", ExprSyntaxError, "expected a nonnegative integer exponent", 2),
+    ("x^y", ExprSyntaxError, "expected a nonnegative integer exponent", 2),
+    ("-3/0", DivisionByZero, "scalar with zero denominator", None),
+]
+_SIGN_AND_NUMBER_ERRORS_F7 = [
+    ("1/7*x", DivisionByZero, "scalar with zero denominator", None),
+]
+
+_SIGN_ALGEBRAS = {
+    "Q": algebra(QQ, 2, [0, 0, 1], [0, 1]),
+    "F7": algebra(F7, 3, [0, 0, 1], [0, 1, 1]),
+}
+
+
+@pytest.mark.parametrize(
+    "field_name, text, value",
+    [(name, text, value) for name in ("Q", "F7") for text, value in _SIGNED_VALUES]
+    + [("F7", text, value) for text, value in _SIGNED_VALUES_F7],
+)
+def test_signed_literal_values(field_name, text, value):
+    A = _SIGN_ALGEBRAS[field_name]
+
+    def c(num, den=1):
+        return Element.from_scalar(A, Fraction(num, den))
+
+    assert parse_element_expr(text, A) == value(*A.generators(), c)
+
+
+@pytest.mark.parametrize(
+    "field_name, text, error, message, position",
+    [(name, *case) for name in ("Q", "F7") for case in _SIGN_AND_NUMBER_ERRORS]
+    + [("F7", *case) for case in _SIGN_AND_NUMBER_ERRORS_F7],
+)
+def test_sign_and_number_errors(field_name, text, error, message, position):
+    with pytest.raises(error) as info:
+        parse_element_expr(text, _SIGN_ALGEBRAS[field_name])
+    assert type(info.value) is error
+    if position is None:
+        assert str(info.value) == message
+    else:
+        assert str(info.value) == f"{message} (at position {position})"
+        assert info.value.position == position
+
+
 def test_print_parse_round_trip():
     rng = rng_for("round-trip")
     algebras = [

@@ -58,6 +58,10 @@ def test_scalar_int_coercion_and_pow():
     assert 2 * F7.scalar(4) == F7.scalar(1)
     assert QQ.scalar(Fraction(2, 3)) ** -2 == QQ.scalar(Fraction(9, 4))
     assert F7.scalar(3) ** 0 == F7.one
+    assert 1 - QQ.scalar(3) == QQ.scalar(-2)
+    assert 1 / QQ.scalar(3) == QQ.scalar(Fraction(1, 3))
+    assert 2 - F7.scalar(5) == F7.scalar(4)
+    assert 1 / F7.scalar(3) == F7.scalar(5)
     for field in (QQ, F7):
         # pow over F_p would raise ValueError on zero, an internal error (exit 5)
         with pytest.raises(DivisionByZero):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from qgha import Element, FreeWord, Poly, element_words, oracle_multiply, reduce_word
-from qgha.errors import FieldMismatch
+from qgha.errors import AlgebraMismatch, FieldMismatch
 
 from conftest import QQ, F7, algebra, random_element, rng_for
 
@@ -88,6 +88,12 @@ def test_element_words_round_trip(alg_q2_h2p1_h3, alg_f7):
         for _ in range(20):
             e = random_element(rng, A)
             assert reduce_word(element_words(e), A) == e
+
+
+def test_oracle_multiply_rejects_two_presentations(alg_f7):
+    other = algebra(F7, 2, [0, 0, 1], [0, 1, 1])
+    with pytest.raises(AlgebraMismatch):
+        oracle_multiply(alg_f7.x(), other.y())
 
 
 def test_oracle_multiply_agrees(alg_f7):

@@ -74,6 +74,16 @@ def test_is_noetherian_truth_table():
     assert square.witness.verified
 
 
+def test_noetherian_report_without_a_fixed_point_has_no_witness():
+    # f - h = h^2 - h + 1 has no rational root
+    A = algebra(QQ, 2, [1, 0, 1], [0, 0, 0, 1])
+    with pytest.raises(NoFixedPointInField):
+        noetherian_witness_check(A, depth=2)
+    report = is_noetherian(A)
+    assert not report.verdict and report.reason is NoetherianReason.DEG_F_NOT_1
+    assert report.witness is None
+
+
 def test_noetherian_implies_domain_not_conversely():
     # the headline phenomenon: q != 0 with deg f >= 2 is a non-Noetherian domain
     wild = algebra(QQ, 2, [0, 0, 1], [0, 1])
