@@ -166,7 +166,8 @@ class Element:
         self._check(other)
         out = dict(self.terms)
         for key, p in other.terms.items():
-            _acc(out, key, p)
+            cur = out.get(key)
+            out[key] = p if cur is None else cur + p
         return Element(self.algebra, out)
 
     def __sub__(self, other):
@@ -237,11 +238,6 @@ class Element:
 
     def __repr__(self):
         return f"Element({self})"
-
-
-def _acc(out: dict, key, p: Poly) -> None:
-    cur = out.get(key)
-    out[key] = p if cur is None else cur + p
 
 
 def _term(i: int, p: Poly, k: int) -> tuple:
@@ -315,9 +311,9 @@ def _times(
     `images` maps a polynomial's (_nums, _den) to sigma of it, and `_sigma`
     fills it as it steps.  Both operands are served from it, so a caller
     that keeps one memo across many products composes each distinct
-    polynomial once.  Both sums are written out rather than calling `_acc`:
-    in a gk run, where every left term has its own k1, the calls cost ~1%
-    more opcodes.
+    polynomial once.  Both sums are written out, as in `Element.__add__`:
+    in a gk run, where every left term has its own k1, a helper call costs
+    ~1% more opcodes.
     """
     f = algebra.f
     out: dict[tuple[int, int], Poly] = {}
@@ -352,7 +348,7 @@ def leading_term_product(m1, m2, algebra: AlgebraParams):
     """
     a, p, b = m1
     c, pt, d = m2
-    if algebra.q.is_zero() or algebra.f.degree() < 1:
+    if not algebra.is_domain:
         raise DegenerateAlgebra("leading-term formula needs q != 0 and deg f >= 1")
     if p.is_zero() or pt.is_zero():
         raise ZeroPolynomial("monomials must have nonzero coefficient polynomials")

@@ -5,10 +5,10 @@ Grammar (whitespace insignificant between tokens):
     expr   := term (('+' | '-') term)*
     term   := factor ('*' factor)*
     factor := atom ('^' nat)?
-    atom   := ['-'] ('x' | 'y' | 'h' | '(' expr ')') | scalar
-    scalar := ['-'] digits ['/' digits]
+    atom   := ['-'] ('x' | 'y' | 'h' | '(' expr ')' | scalar)
+    scalar := digits ['/' digits]
 
-A leading '-' binds to its atom, as a scalar's sign does: "-x^2" is
+A leading '-' binds to its atom, a number as much as a letter: "-x^2" is
 (-x)^2, just as "-3^2" is 9, and "-x" evaluates as "-1*x".
 
 Parsing builds a small syntax tree and counts the words it expands to
@@ -37,6 +37,8 @@ from .errors import CapacityExceeded, DivisionByZero, ExprSyntaxError, LexError
 
 _DIGITS = set("0123456789")
 _OPS = set("+-*/^()")
+# first characters of the atoms that a leading '-' binds to
+_SIGNABLE = _DIGITS | set("xyh(")
 MAX_NESTING = 100
 
 # kind is "letter", "number", "op" or "end"
@@ -103,9 +105,12 @@ class _Parser:
         self.idx += 1
         return token
 
-    def _number(self) -> int:
-        """Consume a number token; too many digits for int() is a syntax error."""
+    def _number(self, expected: str) -> int:
+        """Consume a number token; any other token is the syntax error
+        `expected` at its position, and too many digits for int() is one too."""
         token = self._advance()
+        if token.kind != "number":
+            raise ExprSyntaxError(expected, token.pos)
         try:
             return int(token.text)
         except ValueError:
@@ -150,10 +155,7 @@ class _Parser:
         if not self._at_op("^"):
             return count, base
         self._advance()
-        token = self._peek()
-        if token.kind != "number":
-            raise ExprSyntaxError("expected a nonnegative integer exponent", token.pos)
-        exponent = self._number()
+        exponent = self._number("expected a nonnegative integer exponent")
         if exponent > MAX_EXPONENT:
             raise CapacityExceeded(f"exponent {exponent} beyond 2^31")
         # base^1, ..., base^n in turn: the first size over the bound is reported
@@ -163,7 +165,7 @@ class _Parser:
 
     def atom(self):
         token = self._peek()
-        if self._at_op("-") and self.tokens[self.idx + 1].text in ("x", "y", "h", "("):
+        if self._at_op("-") and self.tokens[self.idx + 1].text[:1] in _SIGNABLE:
             self._advance()
             count, node = self.atom()
             minus_one = Element.from_scalar(self.algebra, -self.field.one)
@@ -171,10 +173,6 @@ class _Parser:
         if token.kind == "letter":
             self._advance()
             return 1, self.letters[token.text]
-        if token.kind == "number" or (
-            self._at_op("-") and self.tokens[self.idx + 1].kind == "number"
-        ):
-            return 1, Element.from_scalar(self.algebra, self._scalar())
         if self._at_op("("):
             if self.depth == MAX_NESTING:
                 raise ExprSyntaxError(f"more than {MAX_NESTING} nested parentheses", token.pos)
@@ -187,24 +185,19 @@ class _Parser:
                 raise ExprSyntaxError("expected ')'", closing.pos)
             self._advance()
             return result
-        raise ExprSyntaxError("expected 'x', 'y', 'h', a scalar or '('", token.pos)
+        return 1, Element.from_scalar(self.algebra, self._scalar())
 
     def _scalar(self):
-        negative = False
-        if self._at_op("-"):
-            self._advance()
-            negative = True
-        value = self.field.scalar(self._number())
+        """The last alternative of an atom, so a missing numerator is
+        reported as a missing atom."""
+        value = self.field.scalar(self._number("expected 'x', 'y', 'h', a scalar or '('"))
         if self._at_op("/"):
             self._advance()
-            token = self._peek()
-            if token.kind != "number":
-                raise ExprSyntaxError("expected digits after '/'", token.pos)
-            denominator = self.field.scalar(self._number())
+            denominator = self.field.scalar(self._number("expected digits after '/'"))
             if denominator.is_zero():
                 raise DivisionByZero("scalar with zero denominator")
             value = value / denominator
-        return -value if negative else value
+        return value
 
 
 def parse_element_expr(text: str, algebra: AlgebraParams) -> Element:

@@ -35,14 +35,12 @@ class DomainReport(NamedTuple):
 
 def is_domain(algebra: AlgebraParams) -> DomainReport:
     """The algebra is a domain exactly when q != 0 and deg f >= 1."""
-    q_ok = not algebra.q.is_zero()
-    f_ok = algebra.f.degree() >= 1
-    if q_ok and f_ok:
+    if algebra.is_domain:
         return DomainReport(True, "q != 0 and deg f >= 1")
     reasons = []
-    if not q_ok:
+    if algebra.q.is_zero():
         reasons.append("q = 0")
-    if not f_ok:
+    if algebra.f.degree() < 1:
         reasons.append("deg f < 1")
     return DomainReport(False, " and ".join(reasons))
 
@@ -303,10 +301,11 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
     composed with f once.
     Each generator keeps its rows y^k1 * generator for the whole run too, so
     a run straightens at most 3 * (max_n + 1) of them.
-    Rows are scaled freely, which leaves their span unchanged: over Q they
-    are primitive integer vectors with a positive pivot, reduced by
-    cross-multiplying in place; over F_p a row is stored as it arrived,
-    and a reduction step scales by the inverse of the pivot's entry.
+    Rows are scaled freely, which leaves their span unchanged: over Q a
+    row is reduced by cross-multiplying in place and made primitive once,
+    with a positive pivot, when it becomes a pivot; over F_p a row is
+    stored as it arrived, and a reduction step scales by the inverse of
+    the pivot's entry.
     """
     if max_n < 0:
         raise InvalidArgument("max_n must be nonnegative")
@@ -348,10 +347,6 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
                     row[m] = nv
                 else:  # c*v != 0, so nv == 0 only where row had m
                     del row[m]
-            if p is None and row:
-                content = gcd(*row.values())
-                if content != 1:
-                    row = {m: v // content for m, v in row.items()}
         return False
 
     one = Poly.one(field)
