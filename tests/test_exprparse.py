@@ -159,8 +159,8 @@ def test_fp_scalars():
     assert parse_element_expr("-1", B) == Element.from_scalar(B, 6)
 
 
-# A leading '-' is the sign of its atom, a number's as much as a letter's or
-# a '(''s: each text with its value, built from the generators x, y, h and
+# A leading '-' is the sign of the atom it precedes, be it a number, a letter
+# or a '(': each text with its value, built from the generators x, y, h and
 # the scalar c(num, den) = num/den of the algebra's field.
 _SIGNED_VALUES = [
     ("-3", lambda x, y, h, c: c(-3)),
