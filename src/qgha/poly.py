@@ -521,6 +521,8 @@ def _terms_str(terms) -> str:
     Each coefficient is folded to the front of its factors and left out when
     it is 1; after the first term a negative rational is written " - " and
     its magnitude.  Empty factors are skipped; no terms at all is "0".
+    A leading -1 is written "-1*", not "-": the grammar binds a leading '-'
+    to its atom, so "-h^2" parses as (-h)^2 = h^2, while "-1*h^2" is -h^2.
     """
     pieces = []
     for c, factors in terms:

@@ -32,9 +32,9 @@ CORPUS_DIRS = (
 DIGESTS = os.path.join(TESTS, "digests.json")
 
 # every loadable algebra file of both corpus directories but three:
-# q2_h2pbig_h.json has one call below, f5_q2_h5_h_image.json is diffed
-# through `iso` by CI's smoke step, and fbig_q3_h2mh_h.json through `mul`
-# against the oracle by CI's oracle step
+# q2_h2pbig_h.json has one call below, f5_q2_h5_h_image.json is replayed
+# through `iso` by test_corpus_replay.py's iso-f5 row, and
+# fbig_q3_h2mh_h.json through `mul` against the oracle by its fbig-split row
 ALGEBRAS_Q = [
     "q1_h2_h.json",
     "q1_h2_h_image.json",
