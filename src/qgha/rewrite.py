@@ -7,13 +7,18 @@ canonical x-h-y order using
 
 with f and g expanded into h-runs letter by letter.  Each rule either
 moves an h rightward past x, moves an h leftward past y, or removes a
-(y, x) inversion, so rewriting terminates; the result is independent of
-the chosen reduction order.  The oracle is deliberately independent of
-the fast multiplication path so the two can cross-check each other; the
-CLI reaches it only through `mul --oracle`.
+(y, x) inversion, so rewriting terminates; by Bergman's diamond lemma the
+result is independent of the reduction order.  Words are `str` and their
+coefficients integers: residues over F_p, numerators over Q, where the
+words of one generation share one denominator.  The oracle calls no `Poly`
+arithmetic, so it checks the fast path independently; the CLI reaches it
+only through `mul --oracle`.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 from .algebra import AlgebraParams, Element
 from .errors import AlgebraMismatch, FieldMismatch, InvalidArgument
@@ -22,11 +27,12 @@ from .poly import Poly
 
 LETTERS = frozenset("xyh")
 
-_REDEXES = {("h", "x"), ("y", "h"), ("y", "x")}
+# the left-hand sides of the three rules
+_REDEXES = ("hx", "yh", "yx")
 
 
 class FreeWord:
-    """A scalar-weighted word over {x, y, h}; letter order is arbitrary."""
+    """A scalar-weighted word over {x, y, h}, kept as a str; letter order is arbitrary."""
 
     __slots__ = ("coeff", "letters")
 
@@ -36,24 +42,20 @@ class FreeWord:
             if ch not in LETTERS:
                 raise InvalidArgument(f"letter {ch!r} is not one of x, y, h")
         self.coeff = coeff
-        self.letters = letters
+        self.letters = "".join(letters)
 
     def __repr__(self):
-        return f"FreeWord({self.coeff}, {''.join(self.letters)!r})"
+        return f"FreeWord({self.coeff}, {self.letters!r})"
 
 
-def _first_redex(letters):
-    for idx in range(len(letters) - 1):
-        if (letters[idx], letters[idx + 1]) in _REDEXES:
-            return idx
-    return None
+def _first_redex(word: str) -> int:
+    """Start of the leftmost redex in word, or -1 if it is in normal form."""
+    return min((i for i in map(word.find, _REDEXES) if i >= 0), default=-1)
 
 
-def _last_redex(letters):
-    for idx in range(len(letters) - 2, -1, -1):
-        if (letters[idx], letters[idx + 1]) in _REDEXES:
-            return idx
-    return None
+def _last_redex(word: str) -> int:
+    """Start of the rightmost redex in word, or -1 if it is in normal form."""
+    return max(map(word.rfind, _REDEXES))
 
 
 def reduce_word(words, algebra: AlgebraParams, strategy: str = "leftmost") -> Element:
@@ -71,64 +73,59 @@ def reduce_word(words, algebra: AlgebraParams, strategy: str = "leftmost") -> El
         raise InvalidArgument(f"unknown strategy {strategy!r}")
     if isinstance(words, (FreeWord, str)):
         words = [words]
-    current: dict[tuple, Scalar] = {}
+    words = [FreeWord(algebra.field.one, w) if isinstance(w, str) else w for w in words]
+    if any(w.coeff.field != algebra.field for w in words):
+        raise FieldMismatch("word coefficient over the wrong field")
+    p = algebra.field.p
 
-    def merge(into: dict, letters: tuple, coeff: Scalar) -> None:
-        cur = into.get(letters)
-        total = coeff if cur is None else cur + coeff
-        if total.is_zero():
-            into.pop(letters, None)
+    def merge(into: dict, word: str, coeff: int) -> None:
+        total = into.get(word, 0) + coeff
+        if p is not None:
+            total %= p
+        if total:
+            into[word] = total
         else:
-            into[letters] = total
+            into.pop(word, None)
 
+    # the words of one generation weigh their integers over den (1 over F_p)
+    den = lcm(*(w.coeff.value.denominator for w in words))
+    current: dict[str, int] = {}
     for w in words:
-        if isinstance(w, str):
-            w = FreeWord(algebra.field.one, w)
-        if w.coeff.field != algebra.field:
-            raise FieldMismatch("word coefficient over the wrong field")
-        merge(current, w.letters, w.coeff)
-
-    f_monos = list(algebra.f.monomials())
-    g_monos = list(algebra.g.monomials())
-    q = algebra.q
-    # (i, k) -> {j -> scalar}: collected coefficients of x^i h^j y^k
-    acc: dict[tuple[int, int], dict[int, Scalar]] = {}
+        merge(current, w.letters, int(w.coeff.value * den))
+    f = [("h" * j, c.value) for j, c in algebra.f.monomials()]
+    g = [("h" * j, c.value) for j, c in algebra.g.monomials()]
+    # redex -> (replacement, value) pairs of its right side; times step, each value is whole
+    rules = {
+        "hx": [("x" + run, c) for run, c in f],
+        "yh": [(run + "y", c) for run, c in f],
+        "yx": ([("xy", algebra.q.value)] if algebra.q else []) + g,
+    }
+    step = lcm(*(c.denominator for rhs in rules.values() for _, c in rhs))
+    rules = {redex: [(run, int(c * step)) for run, c in rhs] for redex, rhs in rules.items()}
+    # (i, k) -> {j -> value}: collected coefficients of x^i h^j y^k
+    acc: dict[tuple[int, int], dict] = {}
 
     while current:
         # rewriting is linear in words, so identical intermediate words are
         # merged per generation instead of being reduced separately
-        pending: dict[tuple, Scalar] = {}
-        for letters, coeff in current.items():
-            pos = find(letters)
-            if pos is None:
-                i = letters.count("x")
-                k = letters.count("y")
-                j = letters.count("h")
-                bucket = acc.setdefault((i, k), {})
-                bucket[j] = bucket.get(j, algebra.field.zero) + coeff
+        pending: dict[str, int] = {}
+        for word, coeff in current.items():
+            pos = find(word)
+            if pos < 0:
+                bucket = acc.setdefault((word.count("x"), word.count("y")), {})
+                j = word.count("h")
+                # a Fraction only where one is needed: ints add faster
+                bucket[j] = bucket.get(j, 0) + (coeff if den == 1 else Fraction(coeff, den))
                 continue
-            pair = (letters[pos], letters[pos + 1])
-            head, tail = letters[:pos], letters[pos + 2 :]
-            if pair == ("h", "x"):
-                for j, c in f_monos:
-                    merge(pending, head + ("x",) + ("h",) * j + tail, coeff * c)
-            elif pair == ("y", "h"):
-                for j, c in f_monos:
-                    merge(pending, head + ("h",) * j + ("y",) + tail, coeff * c)
-            else:  # ("y", "x")
-                if not q.is_zero():
-                    merge(pending, head + ("x", "y") + tail, coeff * q)
-                for j, c in g_monos:
-                    merge(pending, head + ("h",) * j + tail, coeff * c)
+            head, tail = word[:pos], word[pos + 2 :]
+            for run, c in rules[word[pos : pos + 2]]:
+                merge(pending, head + run + tail, coeff * c)
         current = pending
+        den *= step
 
     terms = {}
-    for (i, k), bucket in acc.items():
-        size = max(bucket) + 1
-        coeffs = [algebra.field.zero] * size
-        for j, c in bucket.items():
-            coeffs[j] = c
-        terms[(i, k)] = Poly(coeffs, algebra.field)
+    for key, bucket in acc.items():
+        terms[key] = Poly([bucket.get(j, 0) for j in range(max(bucket) + 1)], algebra.field)
     return Element(algebra, terms)
 
 
@@ -137,7 +134,7 @@ def element_words(element: Element) -> list[FreeWord]:
     out = []
     for i, k in sorted(element.terms):
         for j, c in element.terms[(i, k)].monomials():
-            out.append(FreeWord(c, ("x",) * i + ("h",) * j + ("y",) * k))
+            out.append(FreeWord(c, "x" * i + "h" * j + "y" * k))
     return out
 
 

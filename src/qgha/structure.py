@@ -286,6 +286,43 @@ def _integer_row(terms: dict, p: Optional[int]) -> dict:
     return row
 
 
+def _reduce_insert(echelon: dict, row: dict, p: Optional[int]) -> bool:
+    """Reduce row against echelon and store a nonzero remainder as a pivot; True if stored."""
+    while row:
+        top = max(row)
+        pivot = echelon.get(top)
+        if pivot is None:
+            if p is None:
+                content = gcd(*row.values())
+                if row[top] < 0:
+                    content = -content
+                if content != 1:
+                    row = {m: v // content for m, v in row.items()}
+            echelon[top] = row
+            return True
+        if p is None:
+            # row <- a*row - c*pivot cancels the pivot monomial
+            a, c = pivot[top], row[top]
+            if a != 1:
+                g = gcd(a, c)
+                a, c = a // g, c // g
+                if a != 1:
+                    for m in row:
+                        row[m] *= a
+        else:
+            # row <- row - c*pivot with c = row[top] / pivot[top]
+            c = row[top] * pow(pivot[top], -1, p) % p
+        for m, v in pivot.items():
+            nv = row.get(m, 0) - c * v
+            if p is not None:
+                nv %= p
+            if nv:
+                row[m] = nv
+            else:  # c*v != 0, so nv == 0 only where row had m
+                del row[m]
+    return False
+
+
 def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
     """dim V^n for n = 0..max_n, V = span{1, x, y, h}, computed exactly.
 
@@ -314,44 +351,9 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
     p = field.p
     echelon: dict[int, dict] = {}
 
-    def reduce_insert(row: dict) -> bool:
-        while row:
-            top = max(row)
-            pivot = echelon.get(top)
-            if pivot is None:
-                if p is None:
-                    content = gcd(*row.values())
-                    if row[top] < 0:
-                        content = -content
-                    if content != 1:
-                        row = {m: v // content for m, v in row.items()}
-                echelon[top] = row
-                return True
-            if p is None:
-                # row <- a*row - c*pivot cancels the pivot monomial
-                a, c = pivot[top], row[top]
-                if a != 1:
-                    g = gcd(a, c)
-                    a, c = a // g, c // g
-                    if a != 1:
-                        for m in row:
-                            row[m] *= a
-            else:
-                # row <- row - c*pivot with c = row[top] / pivot[top]
-                c = row[top] * pow(pivot[top], -1, p) % p
-            for m, v in pivot.items():
-                nv = row.get(m, 0) - c * v
-                if p is not None:
-                    nv %= p
-                if nv:
-                    row[m] = nv
-                else:  # c*v != 0, so nv == 0 only where row had m
-                    del row[m]
-        return False
-
     one = Poly.one(field)
     unit = {(0, 0): one}
-    reduce_insert(_integer_row(unit, p))
+    _reduce_insert(echelon, _integer_row(unit, p), p)
     dims = [len(echelon)]
     frontier = [unit]
     gens = [(g, {}) for g in ({(1, 0): one}, {(0, 1): one}, {(0, 0): Poly.h(field)})]
@@ -361,7 +363,7 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
         for terms in frontier:
             for right, rows in gens:
                 candidate = _times(algebra, terms, right, images, rows)
-                if reduce_insert(_integer_row(candidate, p)):
+                if _reduce_insert(echelon, _integer_row(candidate, p), p):
                     new_frontier.append(candidate)
         dims.append(len(echelon))
         frontier = new_frontier

@@ -1,11 +1,18 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
+import qgha.algebra
 from qgha import Element, FreeWord, Poly, element_words, oracle_multiply, reduce_word
 from qgha.errors import AlgebraMismatch, FieldMismatch
 
 from conftest import QQ, F7, algebra, random_element, rng_for
+
+
+def _fractional():
+    # q = 1/2, f = h^2/3 + 1/2, g = 2h/5: every rule scales by a fraction
+    return algebra(QQ, Fraction(1, 2), [Fraction(1, 2), 0, Fraction(1, 3)], [0, Fraction(2, 5)])
 
 
 def _letter_product(A, word):
@@ -31,8 +38,24 @@ def test_reduce_word_forms():
     weighted = FreeWord(QQ.scalar(3), "yxx")
     assert reduce_word(weighted, A) == 3 * expected
     assert reduce_word([weighted, FreeWord(QQ.scalar(-3), "yxx")], A).is_zero()
+    # letters from any iterable are kept as a str
+    tupled = FreeWord(QQ.scalar(3), ("y", "x", "x"))
+    assert tupled.letters == "yxx"
+    assert repr(tupled) == "FreeWord(3, 'yxx')"
+    assert repr(FreeWord(QQ.scalar(Fraction(-3, 2)), iter("hy"))) == "FreeWord(-3/2, 'hy')"
+    assert reduce_word(tupled, A) == 3 * expected
+    assert reduce_word((w for w in ["yxx", tupled, "yxx"]), A) == 5 * expected
+    assert reduce_word("", A) == A.one()
+    assert reduce_word([], A).is_zero()
+    # words whose coefficients have different denominators, over fractional rules
+    B = _fractional()
+    x, y, h = B.generators()
+    words = [FreeWord(QQ.scalar(Fraction(1, 2)), "yx"), FreeWord(QQ.scalar(Fraction(-2, 3)), "hyx")]
+    assert reduce_word(words, B) == (y * x).scale(Fraction(1, 2)) - (h * y * x).scale(Fraction(2, 3))
     with pytest.raises(ValueError):
         FreeWord(QQ.one, "xz")
+    with pytest.raises(ValueError):
+        FreeWord(QQ.one, ("x", "xy"))
     with pytest.raises(FieldMismatch):
         reduce_word(FreeWord(F7.one, "yx"), A)
 
@@ -49,6 +72,7 @@ def test_oracle_equivalence_exhaustive():
         algebra(QQ, 1, [0, 0, 1], [0, 1]),
         algebra(QQ, 2, [1, 0, 1], [0, 0, 0, 1]),
         algebra(F7, 3, [0, 0, 1], [0, 1, 1]),
+        _fractional(),
     ]
     for A in algebras:
         for length in range(5):
@@ -70,6 +94,7 @@ def test_confluence_strategy_independence():
         algebra(QQ, 2, [0, 0, 1], [0, 1]),
         algebra(QQ, 0, [1, 1], [2, 0, 1]),
         algebra(F7, 3, [0, 1, 1], [5, 1]),
+        _fractional(),
     ]
     for A in algebras:
         for length in range(7):
@@ -102,3 +127,29 @@ def test_oracle_multiply_agrees(alg_f7):
         a = random_element(rng, alg_f7, max_support=2, max_exp=2, max_deg=2)
         b = random_element(rng, alg_f7, max_support=2, max_exp=2, max_deg=2)
         assert oracle_multiply(a, b) == a * b
+
+
+def test_oracle_is_independent_of_the_fast_path(monkeypatch):
+    # the oracle checks the fast path only while it shares none of its arithmetic
+    cases = []
+    for A in (_fractional(), algebra(F7, 3, [0, 1, 1], [5, 1])):
+        x, y, h = A.generators()
+        a = x * h * y + (y * y).scale(Fraction(1, 3)) - h
+        b = (h * x).scale(Fraction(3, 2)) + y * x * x
+        words = ["yxhyx", "hhyxxy", "yyhxx"]
+        cases.append((A, a, b, a * b, b * a, [(w, _letter_product(A, w)) for w in words]))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the rewriting oracle reached the fast path")
+
+    for name in ("__add__", "__mul__", "compose"):
+        monkeypatch.setattr(Poly, name, forbidden)
+    monkeypatch.setattr(qgha.algebra, "_times", forbidden)
+    for A, a, b, ab, ba, products in cases:
+        with pytest.raises(AssertionError):
+            a * b
+        assert oracle_multiply(a, b) == ab
+        assert oracle_multiply(b, a) == ba
+        for word, fast in products:
+            assert reduce_word(word, A) == fast, word
+            assert reduce_word(word, A, strategy="rightmost") == fast, word

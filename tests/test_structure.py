@@ -4,7 +4,7 @@ import os
 import random
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +40,7 @@ from qgha.errors import (
     WrongDegree,
 )
 from qgha.serial import algebra_from_dict, load_algebra
-from qgha.structure import _integer_row
+from qgha.structure import _integer_row, _reduce_insert
 
 from conftest import (
     QQ,
@@ -611,6 +611,37 @@ def test_integer_row_scales_by_the_denominator_lcm():
     ]
     assert keys == [_rank(i, j, k) for _, i, j, k in triples]
     assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_reduce_insert_row_forms():
+    # rows map monomial ranks to integer coordinates; the largest rank is the pivot
+    echelon = {}
+    # over Q a stored row is primitive with a positive pivot, whatever its scale on arrival
+    assert _reduce_insert(echelon, {5: 6, 2: -4, 0: 10}, None)
+    assert _reduce_insert(echelon, {3: -4, 1: 6}, None)
+    assert echelon == {5: {5: 3, 2: -2, 0: 5}, 3: {3: 2, 1: -3}}
+    assert not _reduce_insert(echelon, {5: -21, 2: 14, 0: -35}, None)
+    # row - pivot leaves -4 at rank 4
+    assert _reduce_insert(echelon, {5: 3, 4: -4, 2: -2, 0: 5}, None)
+    assert echelon[4] == {4: 1}
+    # row + pivot leaves -4 at rank 0
+    assert _reduce_insert(echelon, {3: -2, 1: 3, 0: -4}, None)
+    assert echelon[0] == {0: 1}
+    # 3 * row - pivot, then minus 6 * pivot 4, then 2 * row - 3 * pivot 3
+    assert _reduce_insert(echelon, {5: 1, 4: 2, 3: 1}, None)
+    assert echelon[2] == {2: 4, 1: 9, 0: -10}
+    assert len(echelon) == 5
+    for row in echelon.values():
+        assert gcd(*row.values()) == 1 and row[max(row)] > 0
+    # over F_p a stored row is kept as it arrived, not made monic
+    echelon = {}
+    assert _reduce_insert(echelon, {4: 3, 1: 5}, 7)
+    assert echelon == {4: {4: 3, 1: 5}}
+    assert not _reduce_insert(echelon, {4: 6, 1: 3}, 7)
+    # row - 5 * pivot, with 5 = 1/3 mod 7, leaves {2: 1, 1: 3}
+    assert _reduce_insert(echelon, {4: 1, 2: 1}, 7)
+    assert echelon == {4: {4: 3, 1: 5}, 2: {2: 1, 1: 3}}
+    assert not _reduce_insert(echelon, {}, 7)
 
 
 def test_gk_zero_horizon():
