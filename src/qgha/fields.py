@@ -249,25 +249,34 @@ class Scalar:
 def root_of_unity_order(q: Scalar) -> int | None:
     """Smallest l >= 1 with q^l = 1, or None when no power returns to 1.
 
-    Over Q only 1 and -1 qualify; over F_p the order always exists and
-    divides p - 1.
+    Over Q only 1 and -1 qualify; over F_p the order always exists: it is
+    the least divisor d of p - 1 with q^d = 1.
     """
     if q.is_zero():
         raise ZeroInput("q must be nonzero")
     field = q.field
     if field.is_rationals:
-        if q.is_one():
-            return 1
-        if (-q).is_one():
-            return 2
-        return None
+        return {1: 1, -1: 2}.get(q.value)
     check_search(field.p, f"order computation in F_{field.p}")
-    acc = q
-    order = 1
-    while not acc.is_one():
-        acc = acc * q
-        order += 1
-    return order
+    return min(d for d in _divisors(field.p - 1) if pow(q.value, d, field.p) == 1)
+
+
+def _divisors(n: int) -> list[int]:
+    """Positive divisors of |n|, for n != 0.  Each prime found is divided
+    out, so trial division stops at the square root of what is left."""
+    n = abs(n)
+    out = [1]
+    d = 2
+    while d * d <= n:
+        new = out
+        while n % d == 0:
+            n //= d
+            new = [a * d for a in new]
+            out += new
+        d += 1
+    if n > 1:  # the prime left over
+        out += [a * n for a in out]
+    return out
 
 
 def _int_nth_root(n: int, m: int) -> int:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import AlgebraParams, Element
-from .errors import AlgebraMismatch, FieldMismatch, InvalidArgument
+from .errors import AlgebraMismatch, InvalidArgument
 from .fields import Scalar
 from .poly import Poly
 
@@ -73,9 +73,9 @@ def reduce_word(words, algebra: AlgebraParams, strategy: str = "leftmost") -> El
         raise InvalidArgument(f"unknown strategy {strategy!r}")
     if isinstance(words, (FreeWord, str)):
         words = [words]
-    words = [FreeWord(algebra.field.one, w) if isinstance(w, str) else w for w in words]
-    if any(w.coeff.field != algebra.field for w in words):
-        raise FieldMismatch("word coefficient over the wrong field")
+    words = [FreeWord(1, w) if isinstance(w, str) else w for w in words]
+    # ints and Fractions coerce; another field's Scalar raises FieldMismatch
+    values = [algebra.field.scalar(w.coeff).value for w in words]
     p = algebra.field.p
 
     def merge(into: dict, word: str, coeff: int) -> None:
@@ -88,10 +88,10 @@ def reduce_word(words, algebra: AlgebraParams, strategy: str = "leftmost") -> El
             into.pop(word, None)
 
     # the words of one generation weigh their integers over den (1 over F_p)
-    den = lcm(*(w.coeff.value.denominator for w in words))
+    den = lcm(*(value.denominator for value in values))
     current: dict[str, int] = {}
-    for w in words:
-        merge(current, w.letters, int(w.coeff.value * den))
+    for w, value in zip(words, values):
+        merge(current, w.letters, int(value * den))
     f = [("h" * j, c.value) for j, c in algebra.f.monomials()]
     g = [("h" * j, c.value) for j, c in algebra.g.monomials()]
     # redex -> (replacement, value) pairs of its right side; times step, each value is whole

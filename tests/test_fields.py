@@ -13,6 +13,7 @@ from qgha.errors import (
     NotPrime,
     ZeroInput,
 )
+from qgha.fields import _divisors
 
 QQ = FieldSpec()
 F7 = FieldSpec(7)
@@ -98,6 +99,37 @@ def test_root_of_unity_order_f7():
     # every unit order divides p - 1
     for u in range(1, 7):
         assert 6 % root_of_unity_order(F7.scalar(u)) == 0
+
+
+def _brute_divisors(n):
+    return {d for d in range(1, abs(n) + 1) if n % d == 0}
+
+
+def test_root_of_unity_order_matches_the_power_loop():
+    # the least l >= 1 with u^l = 1, by multiplying until the power returns
+    for p in (n for n in range(2, 200) if _brute_divisors(n) == {1, n}):
+        F = FieldSpec(p)
+        for u in range(1, p):
+            acc, order = u, 1
+            while acc != 1:
+                acc = acc * u % p
+                order += 1
+            assert root_of_unity_order(F.scalar(u)) == order, (p, u)
+
+
+def test_divisors_match_brute_force():
+    for n in range(1, 3001):
+        want = _brute_divisors(n)
+        for m in (n, -n):
+            got = _divisors(m)
+            assert len(got) == len(want) and set(got) == want, m
+    # a prime near 10^6: trial division runs to its square root
+    assert sorted(_divisors(999983)) == [1, 999983]
+    assert sorted(_divisors(-2 * 999983)) == [1, 2, 999983, 2 * 999983]
+    # 10^20 = 2^20 5^20 has 21^2 divisors, found by dividing each prime out
+    big = _divisors(10**20)
+    assert len(big) == len(set(big)) == 441
+    assert set(big) == {2**a * 5**b for a in range(21) for b in range(21)}
 
 
 def test_nth_roots_rationals():

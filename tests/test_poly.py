@@ -293,7 +293,7 @@ def test_roots_evaluate_to_zero(p):
     if p.is_zero():
         return
     for root in poly_roots(p):
-        assert p.evaluate(root).is_zero()
+        assert _scalar_horner(p, root).is_zero()
 
 
 @given(cs=st.lists(st.integers(0, 6), min_size=1, max_size=4))
@@ -301,7 +301,7 @@ def test_f7_roots_match_brute_force(cs):
     p = Poly(cs, F7)
     if p.is_zero():
         return
-    brute = {s for s in F7.elements() if p.evaluate(s).is_zero()}
+    brute = {s for s in F7.elements() if _scalar_horner(p, s).is_zero()}
     assert poly_roots(p) == brute
 
 
@@ -1012,10 +1012,9 @@ def test_compose_large_degree_over_f17_is_fast():
 
 
 # -- the Scalar boundary: evaluate, roots and the coefficient readers ------
-# `evaluate` composes with a constant inner, and `poly_roots` over Q tests
-# its candidates with `evaluate`, so both are checked here against
-# references that do not run on `compose`: a Horner loop on Scalars, and
-# sympy's rational roots.
+# `evaluate` and every `poly_roots` candidate run one integer Horner,
+# `poly._horner`, so both are checked here against references that do not
+# use it: a Horner loop on Scalars, and sympy's rational roots.
 
 
 def _scalar_horner(p: Poly, point):
@@ -1079,6 +1078,16 @@ def test_evaluate_matches_scalar_horner_over_f_big(cs, point):
         _assert_evaluates(p, F_BIG.scalar(x))
 
 
+@pytest.mark.parametrize("field", [F7, F_BIG], ids=str)
+def test_evaluate_matches_scalar_horner_on_long_polynomials(field):
+    # over F_p a short sum is reduced once, a long one at every step
+    rng = random.Random(f"evaluate-long-{field}")
+    for length in (15, 16, 17, 18, 40, 200):
+        p = Poly([rng.randrange(field.p) for _ in range(length)], field)
+        for x in (0, 1, field.p - 1, rng.randrange(field.p)):
+            _assert_evaluates(p, field.scalar(x))
+
+
 @pytest.mark.parametrize("field", [QQ, F7, F_BIG], ids=str)
 def test_evaluate_zero_and_constant_polynomials(field):
     points = [field.zero, field.one, field.scalar(3), field.scalar(-2)]
@@ -1138,6 +1147,16 @@ def test_rational_roots_match_sympy(scale, factors):
     assert roots == _sympy_rational_roots(p)
     for root in roots:
         assert _scalar_horner(p, root).is_zero()
+
+
+def test_rational_roots_of_large_smooth_constants():
+    # 10^20 has 441 divisors, found by factoring, not by 10^10 trial divisions
+    big = 10**20
+    assert poly_roots(P(-big, 0, 1)) == {QQ.scalar(10**10), QQ.scalar(-(10**10))}
+    # 1 + 4 * 10^20 is not a square, so h^2 - h - 10^20 has no rational root
+    assert poly_roots(P(-big, -1, 1)) == set()
+    # the roots of 10^20 h^2 - 1 are +-1/10^10: v runs over the lead's divisors
+    assert poly_roots(P(-1, 0, big)) == {QQ.scalar(Fraction(s, 10**10)) for s in (1, -1)}
 
 
 @given(

@@ -5,7 +5,7 @@ import pytest
 
 import qgha.algebra
 from qgha import Element, FreeWord, Poly, element_words, oracle_multiply, reduce_word
-from qgha.errors import AlgebraMismatch, FieldMismatch
+from qgha.errors import AlgebraMismatch, DivisionByZero, FieldMismatch
 
 from conftest import QQ, F7, algebra, random_element, rng_for
 
@@ -58,6 +58,25 @@ def test_reduce_word_forms():
         FreeWord(QQ.one, ("x", "xy"))
     with pytest.raises(FieldMismatch):
         reduce_word(FreeWord(F7.one, "yx"), A)
+
+
+def test_word_coefficients_coerce_into_the_field():
+    # an int or a Fraction weighs a word as the equal Scalar does
+    A = algebra(QQ, 2, [0, 0, 1], [0, 1])
+    for value, word in ((3, "yx"), (-2, "hyxx"), (Fraction(3, 2), "hyx"), (Fraction(-5, 7), "yyx")):
+        want = reduce_word(FreeWord(QQ.scalar(value), word), A)
+        assert reduce_word(FreeWord(value, word), A) == want
+        assert reduce_word([FreeWord(value, word), word], A) == want + reduce_word(word, A)
+    B = algebra(F7, 3, [1, 0, 1], [0, 1, 1])
+    for value, residue in ((10, 3), (-1, 6), (Fraction(1, 2), 4), (Fraction(-3, 5), 5)):
+        assert reduce_word(FreeWord(value, "yhx"), B) == reduce_word(FreeWord(F7.scalar(residue), "yhx"), B)
+    # another field's Scalar is refused; so is a Fraction that is not a residue mod p
+    with pytest.raises(FieldMismatch):
+        reduce_word(FreeWord(F7.scalar(3), "yx"), A)
+    with pytest.raises(FieldMismatch):
+        reduce_word(FreeWord(QQ.scalar(3), "yx"), B)
+    with pytest.raises(DivisionByZero):
+        reduce_word(FreeWord(Fraction(1, 7), "yx"), B)
 
 
 def test_reduce_degenerate_presentations():

@@ -724,3 +724,90 @@ def _monomial_growth(s, max_n):
 def test_gk_monomial_algebra_matches_breadth_first_count(field, q, s):
     A = algebra(field, q, [0] * s + [1], [])
     assert list(gk_dimension_sequence(A, 9).dims) == _monomial_growth(s, 9)
+
+
+# -- the GK dimension's bounds as gk oracles --------------------------------
+# Every presentation: the normal words x^i h^j y^k with i + j + k <= n lie in
+# V^n and are basis elements, so dim V^n >= C(n+3, 3).
+# deg f <= 1: with x and y of weight a = max(1, ceil(deg g / 2)) and h of
+# weight 1, no rule (hx -> x f(h), yh -> f(h) y, yx -> q xy + g(h)) raises
+# the weight, so V^n lies in the span of the normal monomials of weight at
+# most a * n.
+# deg f = s >= 2: h x^m = x^m sigma^m(h) with deg sigma^m(h) = s^m, so a word
+# in x and h with i letters x is x^i p(h), deg p the sum of s^m over its h's,
+# m the number of x's to that h's right; words with distinct (i, deg p) are
+# linearly independent.
+
+
+def _weight_count(a, n):
+    """#{(i, j, k) : a(i + k) + j <= a * n}: for each i + k = t <= n, t + 1
+    pairs (i, k) and a(n - t) + 1 exponents j."""
+    return sum((t + 1) * (a * (n - t) + 1) for t in range(n + 1))
+
+
+def _xh_word_degrees(s, max_n):
+    """For n = 0..max_n, the number of distinct (i, deg p) over the words in
+    x and h of length <= n, each built right to left: a new x raises i, a
+    new h adds s^i."""
+    reached = frontier = {(0, 0)}
+    counts = [1]
+    for _ in range(max_n):
+        frontier = {(i + 1, e) for i, e in frontier} | {(i, e + s**i) for i, e in frontier}
+        reached = reached | frontier
+        counts.append(len(reached))
+    return counts
+
+
+_BOUND_FILES = sorted(
+    os.path.join(directory, name)
+    for directory in (CORPUS, os.path.join(os.path.dirname(__file__), "corpus"))
+    for name in os.listdir(directory)
+    if name.endswith(".json")
+    and name not in {"cli.json", "growth_pool.json", "malformed.json", "bad_residue.json",
+                     "bad_schema.json", "not_prime.json"}
+)
+# n = 7 took 3.0 s on q2_h4ph_h and 8.6 s on q2_h2pbig_h's 2000-digit constant
+_BOUND_HORIZON = {"q2_h4ph_h.json": 6, "q2_h2pbig_h.json": 5}
+
+
+def _bound_cases():
+    for path in _BOUND_FILES:
+        name = os.path.basename(path)
+        yield pytest.param(load_algebra(path), _BOUND_HORIZON.get(name, 7), id=name)
+    # deg f <= 1 with deg g >= 3, beyond the cubic formula's reach
+    yield pytest.param(algebra(QQ, 2, [1, 1], [0, 0, 0, 1]), 7, id="Q-h+1-h^3")
+    yield pytest.param(algebra(QQ, 0, [1, 1], [0, 0, 0, 0, 1]), 7, id="Q-q0-h+1-h^4")
+    yield pytest.param(algebra(F7, 2, [3], [0] * 5 + [1]), 7, id="F7-3-h^5")
+
+
+@pytest.mark.parametrize("A, horizon", list(_bound_cases()))
+def test_gk_dims_within_the_gk_dimension_bounds(A, horizon):
+    dims = gk_dimension_sequence(A, horizon).dims
+    assert all(dim >= comb(n + 3, 3) for n, dim in enumerate(dims)), dims
+    s = A.f.degree()
+    if s <= 1:
+        a = max(1, (max(A.g.degree(), 0) + 1) // 2)
+        assert all(dim <= _weight_count(a, n) for n, dim in enumerate(dims)), dims
+    else:
+        assert all(dim >= low for dim, low in zip(dims, _xh_word_degrees(s, horizon))), dims
+
+
+def test_gk_dimension_bound_counts():
+    # both counts against a plain enumeration; the weight count is C(n+3, 3)
+    # for a = 1, and the word count at least 2^floor(n/2) (364 for s = 2 at n = 9)
+    for a in (1, 2, 3):
+        for n in range(6):
+            triples = itertools.product(range(a * n + 1), repeat=3)
+            assert _weight_count(a, n) == sum(a * (i + k) + j <= a * n for i, j, k in triples)
+    assert [_weight_count(1, n) for n in range(10)] == [comb(n + 3, 3) for n in range(10)]
+    for s in (2, 3):
+        counts = _xh_word_degrees(s, 6)
+        pairs = set()
+        for n in range(7):
+            for w in itertools.product("xh", repeat=n):
+                degree = sum(s ** w[t:].count("x") for t, ch in enumerate(w) if ch == "h")
+                pairs.add((w.count("x"), degree))
+            assert counts[n] == len(pairs), (s, n)
+    words = _xh_word_degrees(2, 9)
+    assert words[9] == 364
+    assert all(count >= 2 ** (n // 2) for n, count in enumerate(words))
