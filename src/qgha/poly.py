@@ -11,9 +11,9 @@ integers and fills the three slots, `_canonical` fills them with integers
 already canonical.  A sum over equal denominators, as always over F_p,
 adds the numerators with no lcm.  A `Scalar` is built only at the boundary:
 `_scalar` turns one numerator into one, and `coeffs`, `lead`, `coeff` and
-`monomials` read through it on each call; `evaluate` and `poly_roots`
-run `_horner` on the numerators.  The zero polynomial has no numerators
-and degree NEG_INF, which compares below every integer.
+`monomials` read through it on each call; `evaluate` and the rational
+roots of `poly_roots` run `_horner` on the numerators.  The zero polynomial
+has no numerators and degree NEG_INF, which compares below every integer.
 
 Products of coefficient lists (`_int_conv`) scale a copy by a
 one-coefficient operand, run a schoolbook loop on short operands and a
@@ -47,6 +47,7 @@ import struct
 import sys
 from array import array
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .capacity import check_degree, check_search
@@ -70,8 +71,6 @@ _LEAF_BITS = 256
 # Linear inners over Q step by shift-and-add and reduce no node: longer leaves.
 _LEAF_MAX_LINEAR = 256
 _LEAF_BITS_LINEAR = 512
-# `_horner` over F_p: the longest sum reduced once, at the end (BENCH_27.json).
-_HORNER_ONCE = 16
 
 # Signed `array` type codes by item size; their native byte order is the
 # packed integers' little-endian one only on a little-endian host.
@@ -442,7 +441,7 @@ class Poly:
         v^deg * _den."""
         point = Fraction(self.field.scalar(point).value)
         v = point.denominator
-        value = _horner(self._nums[::-1], point.numerator, v, self.field.p)
+        value = _horner(self._nums[::-1], point.numerator, v)
         return self.field.scalar(Fraction(value, v ** max(len(self._nums) - 1, 0) * self._den))
 
     def compose(self, inner: Poly) -> Poly:
@@ -583,34 +582,24 @@ def affine_conjugate(f: Poly, u: Scalar, v: Scalar) -> Poly:
     return u * _pull_back(f, u, v) + Poly.const(v)
 
 
-def _horner(rev, u: int, v: int, p) -> int:
-    """sum rev[i] * u^(d-i) * v^i, d = len(rev) - 1, reduced mod p over
-    F_p: v^d times the polynomial at u/v whose numerators, from the leading
-    one down, are rev.  With v = 1, as always over F_p, up to _HORNER_ONCE
-    terms are reduced once, at the end, and more at every step."""
-    acc = 0
-    if v != 1:
-        w = 1  # v^i
-        for c in rev:
-            acc = acc * u + c * w
-            w *= v
-    elif p is None or len(rev) <= _HORNER_ONCE:
-        for c in rev:
-            acc = acc * u + c
-    else:
-        for c in rev:
-            acc = (acc * u + c) % p
-    return acc if p is None else acc % p
+def _horner(rev, u: int, v: int) -> int:
+    """sum rev[i] * u^(d-i) * v^i, d = len(rev) - 1: v^d times the
+    polynomial at u/v whose numerators, from the leading one down, are rev."""
+    acc, w = 0, 1  # w = v^i
+    for c in rev:
+        acc = acc * u + c * w
+        w *= v
+    return acc
 
 
 def poly_roots(p: Poly) -> set[Scalar]:
-    """All ground-field roots of p != 0: -c0/c1 for a linear p, else each
-    candidate u/v where `_horner` of p's numerators at (u, v) is zero.
+    """All ground-field roots of p != 0: -c0/c1 for a linear p; over Q
+    each candidate u/v where `_horner` of p's numerators at (u, v) is zero.
 
-    Over Q the candidates are 0 and, by the rational-root theorem on
-    p / h^low, +-u/v with gcd(u, v) = 1, u | n_low and v | n_d over the
-    content, n_low the lowest nonzero numerator; over F_p they are the
-    residues, guarded by the search capacity bound.
+    The candidates are 0 and, by the rational-root theorem on p / h^low,
+    +-u/v with gcd(u, v) = 1, u | n_low and v | n_d over the content, n_low
+    the lowest nonzero numerator.  Over F_p every residue is tried by
+    Horner mod p, guarded by the search capacity bound.
     """
     if p.is_zero():
         raise ZeroPolynomial("root finding needs a nonzero polynomial")
@@ -621,13 +610,20 @@ def poly_roots(p: Poly) -> set[Scalar]:
     rev = nums[::-1]
     if mod is not None:
         check_search(mod, f"root search in F_{mod}")
-        return {Scalar(u, field) for u in range(mod) if not _horner(rev, u, 1, mod)}
+        roots = set()
+        for r in range(mod):
+            acc = 0
+            for c in rev:
+                acc = (acc * r + c) % mod
+            if not acc:
+                roots.add(Scalar(r, field))
+        return roots
     content = gcd(*nums)
-    candidates = [(0, 1)] + [
+    candidates = chain([(0, 1)], (
         (s, v)
         for u in _divisors(next(c for c in nums if c) // content)
         for v in _divisors(nums[-1] // content)
         if gcd(u, v) == 1
         for s in (u, -u)
-    ]
-    return {field.scalar(Fraction(u, v)) for u, v in candidates if not _horner(rev, u, v, None)}
+    ))
+    return {field.scalar(Fraction(u, v)) for u, v in candidates if not _horner(rev, u, v)}

@@ -32,11 +32,14 @@ _REDEXES = ("hx", "yh", "yx")
 
 
 class FreeWord:
-    """A scalar-weighted word over {x, y, h}, kept as a str; letter order is arbitrary."""
+    """A word over {x, y, h}, kept as a str, weighted by a Scalar, int or
+    Fraction (inexact floats and strings are refused); letter order is arbitrary."""
 
     __slots__ = ("coeff", "letters")
 
-    def __init__(self, coeff: Scalar, letters):
+    def __init__(self, coeff: Scalar | int | Fraction, letters):
+        if not isinstance(coeff, (int, Fraction, Scalar)):
+            raise InvalidArgument(f"coefficient {coeff!r} is not an int, Fraction or Scalar")
         letters = tuple(letters)
         for ch in letters:
             if ch not in LETTERS:

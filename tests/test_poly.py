@@ -1080,7 +1080,7 @@ def test_evaluate_matches_scalar_horner_over_f_big(cs, point):
 
 @pytest.mark.parametrize("field", [F7, F_BIG], ids=str)
 def test_evaluate_matches_scalar_horner_on_long_polynomials(field):
-    # over F_p a short sum is reduced once, a long one at every step
+    # over F_p the sum is reduced once, after the loop
     rng = random.Random(f"evaluate-long-{field}")
     for length in (15, 16, 17, 18, 40, 200):
         p = Poly([rng.randrange(field.p) for _ in range(length)], field)

@@ -5,7 +5,7 @@ import pytest
 
 import qgha.algebra
 from qgha import Element, FreeWord, Poly, element_words, oracle_multiply, reduce_word
-from qgha.errors import AlgebraMismatch, DivisionByZero, FieldMismatch
+from qgha.errors import AlgebraMismatch, DivisionByZero, FieldMismatch, InvalidArgument
 
 from conftest import QQ, F7, algebra, random_element, rng_for
 
@@ -77,6 +77,10 @@ def test_word_coefficients_coerce_into_the_field():
         reduce_word(FreeWord(QQ.scalar(3), "yx"), B)
     with pytest.raises(DivisionByZero):
         reduce_word(FreeWord(Fraction(1, 7), "yx"), B)
+    # a float or a digit string would coerce inexactly or by accident: refused
+    for value in (0.1, 2.0, "3"):
+        with pytest.raises(InvalidArgument):
+            FreeWord(value, "yx")
 
 
 def test_reduce_degenerate_presentations():

@@ -758,14 +758,16 @@ def _xh_word_degrees(s, max_n):
     return counts
 
 
-_BOUND_FILES = sorted(
-    os.path.join(directory, name)
-    for directory in (CORPUS, os.path.join(os.path.dirname(__file__), "corpus"))
-    for name in os.listdir(directory)
-    if name.endswith(".json")
-    and name not in {"cli.json", "growth_pool.json", "malformed.json", "bad_residue.json",
-                     "bad_schema.json", "not_prime.json"}
-)
+# every presentation of the two corpora, by name
+_BOUND_FILES = [os.path.join(CORPUS, name) for name in (
+    "f11_q2_h2_h3.json", "f13_q2_h2_0.json", "f5_q2_h5_h.json", "f7_q3_h2_h2ph.json",
+    "linear.json", "q1_h2_h.json", "q1_h2_h_image.json", "q2_h2p1_h3.json",
+    "q2_h3ph_h.json", "q2_h4ph_h.json",
+)] + [os.path.join(os.path.dirname(__file__), "corpus", name) for name in (
+    "f13_q0_hp1_0.json", "f3_q2_h3ph_h2p1.json", "f5_q2_h5_h_image.json",
+    "fbig_q3_h2mh_h.json", "q0_h2_h.json", "q2_1mh_h.json", "q2_const_h.json",
+    "q2_h2pbig_h.json", "qhalf_h2m1_h.json",
+)]
 # n = 7 took 3.0 s on q2_h4ph_h and 8.6 s on q2_h2pbig_h's 2000-digit constant
 _BOUND_HORIZON = {"q2_h4ph_h.json": 6, "q2_h2pbig_h.json": 5}
 
