@@ -32,7 +32,7 @@ import sys
 from collections import namedtuple
 
 from .errors import InternalError, QghaError, SchemaError
-from .serial import json_text, load_algebra
+from .serial import DECIMAL, json_text, load_algebra
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -190,11 +190,12 @@ def _parse_field_flag(text: str):
     if text == "Q":
         return FieldSpec()
     if text.startswith("Fp:"):
-        try:
-            p = int(text[3:])
-        except ValueError:
-            raise _UsageError(f"malformed field spec {text!r}") from None
-        return FieldSpec(p)
+        if DECIMAL.fullmatch(text, 3):
+            try:
+                return FieldSpec(int(text[3:]))
+            except ValueError:  # more digits than int() converts
+                pass
+        raise _UsageError(f"malformed field spec {text!r}")
     raise _UsageError(f"field spec must be Q or Fp:<p>, got {text!r}")
 
 

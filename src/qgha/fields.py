@@ -67,6 +67,8 @@ class FieldSpec:
     __slots__ = ("p",)
 
     def __init__(self, p: int | None = None):
+        if p is not None and not isinstance(p, int):
+            raise InvalidArgument(f"characteristic {p!r} is not an int")
         if p is not None and not _is_prime(p):
             raise NotPrime(f"{p} is not prime")
         self.p = p
@@ -92,12 +94,17 @@ class FieldSpec:
         return "Q" if self.p is None else f"F_{self.p}"
 
     def scalar(self, value) -> Scalar:
-        """Coerce an int, Fraction, digit string or Scalar into this field."""
+        """Coerce an int, Fraction, digit string or Scalar into this field; floats are refused."""
         if isinstance(value, Scalar):
             if value.field != self:
                 raise FieldMismatch(f"scalar over {value.field}, expected {self}")
             return value
-        value = Fraction(value)
+        if isinstance(value, float):
+            raise InvalidArgument(f"inexact scalar {value!r}")
+        try:
+            value = Fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise InvalidArgument(f"{value!r} is not a scalar") from None
         if self.p is not None:
             if value.denominator % self.p == 0:
                 raise DivisionByZero(f"denominator not invertible mod {self.p}")

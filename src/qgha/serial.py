@@ -20,14 +20,15 @@ from .errors import SchemaError
 from .fields import FieldSpec, Scalar
 from .poly import Poly
 
-_Q_SCALAR = re.compile(r"^-?\d+(/[1-9]\d*)?$")
-_FP_SCALAR = re.compile(r"^\d+$")
+# whole strings of ASCII digits: \d takes other scripts' digits, $ a final newline
+_Q_SCALAR = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+DECIMAL = re.compile(r"[0-9]+")
 
 
 def scalar_from_text(field: FieldSpec, text) -> Scalar:
     if not isinstance(text, str):
         raise SchemaError(f"scalar must be a string, got {text!r}")
-    if not (_Q_SCALAR if field.is_rationals else _FP_SCALAR).match(text):
+    if not (_Q_SCALAR if field.is_rationals else DECIMAL).fullmatch(text):
         kind = "rational scalar" if field.is_rationals else "residue"
         raise SchemaError(f"malformed {kind} {text!r}")
     try:

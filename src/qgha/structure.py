@@ -287,24 +287,19 @@ def _integer_row(terms: dict, p: Optional[int]) -> dict:
 
 
 def _reduce_insert(echelon: dict, row: dict, p: Optional[int]) -> bool:
-    """Reduce row against echelon and store a nonzero remainder as a pivot; True if stored."""
+    """Reduce row against echelon; store a nonzero remainder unscaled as a pivot; True if stored."""
     while row:
         top = max(row)
         pivot = echelon.get(top)
         if pivot is None:
-            if p is None:
-                content = gcd(*row.values())
-                if row[top] < 0:
-                    content = -content
-                if content != 1:
-                    row = {m: v // content for m, v in row.items()}
-            echelon[top] = row
+            # a copy drops the free slots of every entry the reduction deleted
+            echelon[top] = dict(row)
             return True
         if p is None:
-            # row <- a*row - c*pivot cancels the pivot monomial
+            # row <- a*row - c*pivot cancels the pivot monomial; a > 0, so no pass negates row
             a, c = pivot[top], row[top]
             if a != 1:
-                g = gcd(a, c)
+                g = gcd(a, c) if a > 0 else -gcd(a, c)
                 a, c = a // g, c // g
                 if a != 1:
                     for m in row:
@@ -338,11 +333,10 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
     composed with f once.
     Each generator keeps its rows y^k1 * generator for the whole run too, so
     a run straightens at most 3 * (max_n + 1) of them.
-    Rows are scaled freely, which leaves their span unchanged: over Q a
-    row is reduced by cross-multiplying in place and made primitive once,
-    with a positive pivot, when it becomes a pivot; over F_p a row is
-    stored as it arrived, and a reduction step scales by the inverse of
-    the pivot's entry.
+    Rows are scaled freely, which leaves their span unchanged, and a row is
+    stored as the reduction left it over either field; only the reduction
+    step differs: over Q it cross-multiplies in place, over F_p it scales
+    by the inverse of the pivot's entry.
     """
     if max_n < 0:
         raise InvalidArgument("max_n must be nonnegative")

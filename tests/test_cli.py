@@ -336,6 +336,14 @@ def test_exit_code_usage():
     assert run(["convert", "--from-downup", "1", "2", "3", "--field", "R"]).exit_code == 1
 
 
+@pytest.mark.parametrize("spec", ["Fp:\u0667", "Fp:1_1", "Fp: 7", "Fp:+7", "Fp:7\n", "Fp:"])
+def test_field_flag_takes_ascii_digits_only(spec):
+    # int() would read each of these as a prime
+    result = run(["convert", "--from-downup", "1", "2", "3", "--field", spec])
+    assert result.exit_code == 1
+    assert result.error == f"usage error: malformed field spec {spec!r}"
+
+
 def test_exit_code_parse(tmp_path, q2_h2_h):
     assert run(["analyze", str(tmp_path / "missing.json")]).exit_code == 2
     bad_json = tmp_path / "bad.json"
@@ -370,6 +378,13 @@ _VALID_ALGEBRA = {"field": {"type": "Q"}, "q": "1", "f": ["0", "1"], "g": ["0", 
         ({"field": {"type": "Fp"}}, "prime field descriptor needs an integer p"),
         ({"field": {"type": "Fp", "p": "7"}}, "prime field descriptor needs an integer p"),
         ({"field": {"type": "R"}}, "unknown field type 'R'"),
+        # scalars are whole strings of ASCII digits: no final newline, no
+        # digits of other scripts
+        ({"q": "2\n"}, "malformed rational scalar '2\\n'"),
+        ({"q": "\u0662"}, "malformed rational scalar '\u0662'"),
+        ({"f": ["0", "1/2\n"]}, "malformed rational scalar '1/2\\n'"),
+        ({"field": {"type": "Fp", "p": 7}, "q": "3\n"}, "malformed residue '3\\n'"),
+        ({"field": {"type": "Fp", "p": 7}, "q": "\u0663"}, "malformed residue '\u0663'"),
     ],
 )
 def test_schema_rejections(tmp_path, change, message):

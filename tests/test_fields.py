@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qgha import FieldSpec, field_make, nth_roots, root_of_unity_order
+from qgha import AlgebraParams, FieldSpec, Poly, field_make, nth_roots, root_of_unity_order
 from qgha.errors import (
     CapacityExceeded,
     DivisionByZero,
     FieldMismatch,
+    InvalidArgument,
     NotPrime,
     ZeroInput,
 )
@@ -74,6 +75,42 @@ def test_scalar_int_coercion_and_pow():
             for k in range(1, 5):
                 assert s ** -k == s.inv() ** k
                 assert s ** -k * s**k == field.one
+
+
+@pytest.mark.parametrize("p", [7.0, Fraction(7), "7", 7 + 0j])
+def test_field_refuses_a_characteristic_that_is_not_an_int(p):
+    # 7.0 and Fraction(7) would pass the prime test and fail at the first scalar
+    with pytest.raises(InvalidArgument) as info:
+        FieldSpec(p)
+    assert info.value.exit_code == 2 and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "value", [0.1, 2.0, float("nan"), float("inf"), None, "abc", "1/0", 1j, [1]]
+)
+def test_scalar_refuses_inexact_and_non_numeric_values(value):
+    # 0.1 would read as 3602879701896397/36028797018963968
+    h = Poly([0, 1], QQ)
+    A = AlgebraParams(QQ, 2, h * h, h)
+    for build in (
+        QQ.scalar,
+        F7.scalar,
+        lambda v: AlgebraParams(QQ, v, h * h, h),
+        lambda v: Poly([v], QQ),
+        lambda v: Poly([1, v], F7),
+        A.one().scale,
+    ):
+        with pytest.raises(InvalidArgument):
+            build(value)
+
+
+def test_scalar_keeps_exact_values():
+    for field in (QQ, F7):
+        assert field.scalar(3) == field.scalar(Fraction(3)) == field.scalar("3")
+        assert field.scalar("-1/2") == field.scalar(Fraction(-1, 2))
+        assert field.scalar(field.scalar(5)) == field.scalar(5)
+        assert field.scalar(True) == field.one
+    assert str(QQ.scalar("0.1")) == "1/10"  # a decimal string is exact
 
 
 def test_fp_residue_normalization():
