@@ -17,9 +17,9 @@ Exit codes: 0 success, 1 usage; every other failure exits with the
 `exit_code` of its `errors.QghaError` subclass, which that class documents.
 A file that cannot be read exits as a SchemaError, and a bare ValueError,
 which no input error raises, as an InternalError.
-Identical inputs produce byte-identical outputs.  The QGHA_CAPACITY
-environment variable overrides the degree/search bound; it is read once, at
-start-up.
+Identical inputs produce byte-identical outputs.  `main` reads the
+QGHA_CAPACITY environment variable once, when the command starts: a whole
+ASCII count above 0 sets both capacity bounds, anything else keeps them.
 
 Start-up is part of every call's cost, so each handler imports the modules it
 uses: `deg` never loads the classifier, the growth code or the oracle.
@@ -28,11 +28,13 @@ uses: `deg` never loads the classifier, the growth code or the oracle.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import namedtuple
 
 from .errors import InternalError, QghaError, SchemaError
 from .serial import DECIMAL, json_text, load_algebra
+from . import capacity  # only once loaded: the package's __getattr__ would load everything
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,14 +57,22 @@ class _ArgumentParser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+def _decimal(text: str) -> "int | None":
+    """text's value if it is whole ASCII digits that int() converts, else None."""
+    try:
+        return int(text) if DECIMAL.fullmatch(text) else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def _int_at_least(low: int):
     """argparse type: an int >= low, so a bad count is a usage error."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        value = _decimal(text.removeprefix("-"))
+        if value is None:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        value = -value if text.startswith("-") else value
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
@@ -190,12 +200,10 @@ def _parse_field_flag(text: str):
     if text == "Q":
         return FieldSpec()
     if text.startswith("Fp:"):
-        if DECIMAL.fullmatch(text, 3):
-            try:
-                return FieldSpec(int(text[3:]))
-            except ValueError:  # more digits than int() converts
-                pass
-        raise _UsageError(f"malformed field spec {text!r}")
+        p = _decimal(text[3:])
+        if p is None:
+            raise _UsageError(f"malformed field spec {text!r}")
+        return FieldSpec(p)
     raise _UsageError(f"field spec must be Q or Fp:<p>, got {text!r}")
 
 
@@ -218,7 +226,7 @@ def _cmd_convert(ns) -> CommandResult:
         return CommandResult(EXIT_OK, json_text(algebra_to_dict(from_gdua(presentation))))
     alpha, beta, gamma = (scalar_from_text(field, t) for t in ns.from_downup)
     candidates = downup_candidates(alpha, beta, gamma)
-    if not 0 <= ns.choice < len(candidates):
+    if ns.choice >= len(candidates):
         raise _UsageError(
             f"--choice {ns.choice} out of range for {len(candidates)} root ordering(s)"
         )
@@ -297,7 +305,7 @@ def build_parser() -> _ArgumentParser:
     )
     group.add_argument("--to-gdua", metavar="FILE", help="algebra file with deg f <= 1")
     p.add_argument("--field", default="Q", help="ground field: Q or Fp:<p>")
-    p.add_argument("--choice", type=int, default=0, help="root ordering to select")
+    p.add_argument("--choice", type=_int_at_least(0), default=0, help="root ordering to select")
     p.set_defaults(handler=_cmd_convert)
 
     return parser
@@ -322,6 +330,9 @@ def run(argv) -> CommandResult:
 
 
 def main(argv=None) -> int:
+    bound = _decimal(os.environ.get("QGHA_CAPACITY", ""))
+    if bound:  # None or 0 keeps the bounds
+        capacity.DEGREE_CAP = capacity.SEARCH_CAP = bound
     result = run(sys.argv[1:] if argv is None else list(argv))
     if result.payload:
         sys.stdout.write(result.payload)

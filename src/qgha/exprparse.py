@@ -34,11 +34,11 @@ from collections import namedtuple
 from .algebra import MAX_EXPONENT, AlgebraParams, Element
 from .capacity import check_search
 from .errors import CapacityExceeded, DivisionByZero, ExprSyntaxError, LexError
+from .serial import DECIMAL
 
-_DIGITS = set("0123456789")
 _OPS = set("+-*/^()")
 # first characters of the atoms that a leading '-' binds to
-_SIGNABLE = _DIGITS | set("xyh(")
+_SIGNABLE = set("0123456789xyh(")
 MAX_NESTING = 100
 
 # kind is "letter", "number", "op" or "end"
@@ -57,12 +57,10 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("letter", ch, i))
             i += 1
             continue
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("number", text[i:j], i))
-            i = j
+        number = DECIMAL.match(text, i)
+        if number:
+            tokens.append(_Token("number", number.group(), i))
+            i = number.end()
             continue
         if ch in _OPS:
             tokens.append(_Token("op", ch, i))

@@ -315,6 +315,8 @@ def _reduce_insert(echelon: dict, row: dict, p: Optional[int]) -> bool:
                 row[m] = nv
             else:  # c*v != 0, so nv == 0 only where row had m
                 del row[m]
+        if top in row:  # a faulty step would otherwise loop forever
+            raise InternalError("internal error: an echelon step kept its pivot monomial")
     return False
 
 

@@ -41,6 +41,13 @@ def poly_divmod(a, b):
     return Poly(quo, a.field), Poly(rem, a.field)
 
 
+@pytest.fixture(autouse=True)
+def _no_capacity_variable(monkeypatch):
+    """cli.main applies QGHA_CAPACITY to the module bounds, so a value in the
+    runner's environment would reach every later test through one call."""
+    monkeypatch.delenv("QGHA_CAPACITY", raising=False)
+
+
 @pytest.fixture
 def set_capacity(monkeypatch):
     """Set both capacity bounds, as QGHA_CAPACITY does when qgha starts."""

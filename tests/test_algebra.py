@@ -29,7 +29,7 @@ from qgha.errors import (
     FieldMismatch,
     ZeroPolynomial,
 )
-from qgha.serial import load_algebra
+from qgha.serial import algebra_to_dict, dump_algebra, json_text, load_algebra
 
 from conftest import QQ, F7, algebra, random_element, random_poly, rng_for
 
@@ -164,6 +164,18 @@ class _CountingDict(dict):
 _LINEAR = os.path.join(
     os.path.dirname(os.path.dirname(__file__)), "perfbench", "corpus", "linear.json"
 )
+
+
+@pytest.mark.parametrize(
+    "A",
+    [algebra(QQ, "-3/2", [1, 0, 1], ["1/3", 0, 0, 1]), algebra(F7, 3, [0, 0, 1], [0, 1, 1])],
+    ids=["Q", "F7"],
+)
+def test_dump_algebra_round_trip(A, tmp_path):
+    path = tmp_path / "a.json"
+    dump_algebra(A, path)
+    assert load_algebra(path) == A
+    assert path.read_text(encoding="utf-8") == json_text(algebra_to_dict(A))
 
 
 @pytest.mark.parametrize("b, c", [(1, 1500), (1500, 1)], ids=["y*x^1500", "y^1500*x"])

@@ -248,6 +248,34 @@ def test_gk_negative_horizon_is_usage_error(q1_h2_h):
     assert result.error == "usage error: argument --max-n: must be at least 0, got -1"
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--max-n", "\u0663"),
+        ("--max-n", "+3"),
+        ("--depth", " 2"),
+        ("--choice", "0_0"),
+        ("--choice", "\u0660"),
+    ],
+)
+def test_counts_take_ascii_digits_only(option, value, q1_h2_h):
+    # int() would read each of these as a count
+    command = {
+        "--max-n": ["gk", q1_h2_h],
+        "--depth": ["noeth-witness", q1_h2_h],
+        "--choice": ["convert", "--from-downup", "0", "1", "0"],
+    }[option]
+    result = run([*command, option, value])
+    assert (result.exit_code, result.payload) == (1, "")
+    assert result.error == f"usage error: argument {option}: invalid int value: {value!r}"
+
+
+def test_negative_choice_is_below_the_least_count():
+    result = run(["convert", "--from-downup", "0", "1", "0", "--choice", "-1"])
+    assert (result.exit_code, result.payload) == (1, "")
+    assert result.error == "usage error: argument --choice: must be at least 0, got -1"
+
+
 def test_noeth_witness_depth_beyond_bound(q1_h2_h):
     start = time.perf_counter()
     result = run(["noeth-witness", q1_h2_h, "--depth", "100000"])
@@ -459,20 +487,37 @@ def test_exit_code_capacity(q1_h2_h, set_capacity):
     "value, argv, error",
     [
         ("8", ["gk", "@", "--max-n", "20"], "growth horizon of size 20 exceeds capacity bound 8"),
-        # a non-integer or a value <= 0 keeps the default bounds
-        ("abc", ["deg", "@", "(x+y+h)^9"], "expression expansion of size 19683 exceeds capacity bound 10000"),
-        ("0", ["deg", "@", "(x+y+h)^9"], "expression expansion of size 19683 exceeds capacity bound 10000"),
+        # anything but a whole ASCII count above 0 keeps the default bounds
+        *(
+            (value, ["deg", "@", "(x+y+h)^9"], "expression expansion of size 19683 exceeds capacity bound 10000")
+            for value in ["abc", "0", "\u0663", " 8", "1_0", "+8", "8\n", "9" * 5000]
+        ),
     ],
-    ids=["8", "abc", "0"],
+    ids=["8", "abc", "0", "arabic-indic-3", "space-8", "1_0", "plus-8", "8-newline", "5000-digits"],
 )
 def test_capacity_env_read_at_start_up(q1_h2_h, value, argv, error):
     env = dict(child_env(), QGHA_CAPACITY=value)
     argv = [q1_h2_h if a == "@" else a for a in argv]
+    # unbounded, the "8" row's gk runs for many minutes: fail instead of hanging
     proc = subprocess.run(
-        [sys.executable, "-m", "qgha", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "qgha", *argv], capture_output=True, text=True, env=env, timeout=60
     )
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr == f"error: {error}\n"
+
+
+def test_importing_qgha_ignores_the_capacity_variable():
+    env = dict(child_env(), QGHA_CAPACITY="8")
+    probe = "import qgha.capacity as c; print(c.DEGREE_CAP, c.SEARCH_CAP)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, f"{10**6} {10**4}\n")
+
+
+def test_main_without_the_variable_keeps_the_bounds_set(q1_h2_h, set_capacity, capsys):
+    set_capacity(8)
+    assert main(["gk", q1_h2_h, "--max-n", "20"]) == 4
+    assert capsys.readouterr().err == "error: growth horizon of size 20 exceeds capacity bound 8\n"
+    assert (qgha.capacity.DEGREE_CAP, qgha.capacity.SEARCH_CAP) == (8, 8)
 
 
 def test_exit_code_capacity_message(q1_h2_h):

@@ -342,6 +342,77 @@ def test_center_over_prime_field():
     assert is_central(description.z**6)
 
 
+def _row_rank(rows, zero):
+    """Rank of rows (dicts key -> Scalar) by plain Gaussian elimination."""
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            top = max(row)
+            if top not in pivots:
+                pivots[top] = row
+                break
+            c = row[top] / pivots[top][top]
+            for key, value in pivots[top].items():
+                row[key] = row.get(key, zero) - c * value
+            row = {key: value for key, value in row.items() if not value.is_zero()}
+    return len(pivots)
+
+
+def _box_nullity(A, N, D):
+    """Nullity of z -> (zx - xz, zy - yz) on the span of x^i h^j y^i, i <= N,
+    j <= D: the central elements of the box, since for deg f >= 2 the
+    diagonal support is what commutes with h."""
+    x, y, _ = A.generators()
+    rows = []
+    for i in range(N + 1):
+        for j in range(D + 1):
+            b = Element.monomial(A, i, Poly([0] * j + [1], A.field), i)
+            rows.append({
+                (tag, i2, k2, e): c
+                for tag, image in enumerate((b * x - x * b, b * y - y * b))
+                for (i2, k2), p in image.terms.items()
+                for e, c in enumerate(p.coeffs)
+                if not c.is_zero()
+            })
+    return len(rows) - _row_rank(rows, A.field.zero)
+
+
+def _z_powers_in_box(description, A, N, D):
+    """How many of the powers Z^(ell m), m >= 0, of center_describe's answer
+    have every term x^i p(h) y^k with i <= N and deg p <= D (1 when the
+    answer holds no Z: the scalars)."""
+    if description.kind is not CenterKind.POLYNOMIAL_IN_Z_ELL:
+        return 1
+    count, power, step = 0, A.one(), description.z**description.ell
+    while all(i <= N and p.degree() <= D for (i, _), p in power.terms.items()):
+        count += 1
+        power = power * step
+    return count
+
+
+@pytest.mark.parametrize(
+    "field, q, f, g, kind, nullities",
+    [
+        (QQ, -1, [0, 0, 1], [0, 1, 1], CenterKind.POLYNOMIAL_IN_Z_ELL, (2, 3)),
+        (F7, -1, [0, 0, 1], [0, 1, 1], CenterKind.POLYNOMIAL_IN_Z_ELL, (2, 3)),
+        (QQ, 2, [1, 0, 1], [0, 0, 0, 1], CenterKind.SCALARS_ONLY, (1, 1)),
+        (F7, 2, [1, 0, 1], [0, 1], CenterKind.UNDETERMINED, (1, 1)),
+        (FieldSpec(5), 4, [0, 1, 0, 1], [0, 0, 1], CenterKind.UNDETERMINED, (1, 1)),
+    ],
+    ids=["Q-q-1", "F7-q-1", "Q-scalars", "F7-undetermined", "F5-undetermined"],
+)
+def test_center_in_a_box(field, q, f, g, kind, nullities):
+    # Z^2 has x-degree 2 and h-degree 2, Z^4 has 4 and 8: box (2, 8) holds
+    # 1 and Z^2, box (4, 16) also Z^4
+    A = algebra(field, q, f, g)
+    description = center_describe(A)
+    assert description.kind is kind
+    for (N, D), nullity in zip([(2, 8), (4, 16)], nullities):
+        assert _box_nullity(A, N, D) == nullity
+        assert _z_powers_in_box(description, A, N, D) == nullity
+
+
 def test_center_preconditions():
     with pytest.raises(PreconditionViolated):
         center_describe(algebra(QQ, 2, [0, 1], [0, 1]))
@@ -668,6 +739,16 @@ def test_reduce_insert_row_forms():
     assert _reduce_insert(echelon, {4: 1, 2: 1}, 7)
     assert echelon == {4: {4: 3, 1: 5}, 2: {2: 1, 1: 3}}
     assert not _reduce_insert(echelon, {}, 7)
+
+
+def test_faulty_echelon_step_is_an_internal_error(monkeypatch):
+    # a step that does not cancel the pivot entry used to loop forever
+    monkeypatch.setattr(qgha.structure, "gcd", lambda a, b: 2)
+    with pytest.raises(InternalError, match="echelon step"):
+        _reduce_insert({5: {5: 3, 2: 1}}, {5: 5, 1: 1}, None)
+    monkeypatch.setattr(qgha.structure, "pow", lambda *args: 2, raising=False)
+    with pytest.raises(InternalError, match="echelon step"):
+        _reduce_insert({4: {4: 3, 1: 5}}, {4: 1, 2: 1}, 7)
 
 
 def test_gk_zero_horizon():
