@@ -21,16 +21,26 @@ Identical inputs produce byte-identical outputs.  `main` reads the
 QGHA_CAPACITY environment variable once, when the command starts: a whole
 ASCII count above 0 sets both capacity bounds, anything else keeps them.
 
+The grammar is one table, `_COMMANDS`: each subcommand's handler, help,
+positionals and options (value count, type, default, required, help,
+metavar), and convert's exclusive group.  `run` first tries `_read_argv`,
+which takes only the plain form of a well-formed call and returns the
+namespace argparse would give.  Any other argv (-h, --opt=value, --,
+abbreviations, repeated options, every usage error) goes to the argparse
+parser that `build_parser` makes from the same table, so help texts, messages
+and exit codes are argparse's own.  A well-formed call never imports argparse.
+
 Start-up is part of every call's cost, so each handler imports the modules it
 uses: `deg` never loads the classifier, the growth code or the oracle.
 """
 
 from __future__ import annotations
 
-import argparse
+import itertools
 import os
 import sys
 from collections import namedtuple
+from types import SimpleNamespace
 
 from .errors import InternalError, QghaError, SchemaError
 from .serial import DECIMAL, json_text, load_algebra
@@ -38,23 +48,11 @@ from . import capacity  # only once loaded: the package's __getattr__ would load
 
 EXIT_OK = 0
 EXIT_USAGE = 1
+_HIDDEN = object()  # as an option's help: argparse.SUPPRESS, which keeps it out of -h
 
 
 class _UsageError(Exception):
     pass
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-    def _parse_optional(self, arg_string):
-        # every option but -h is spelled "--name", so an argument such as
-        # "-3*x" or "-5/2" is a value, not an unknown option
-        single_dash = arg_string.startswith("-") and not arg_string.startswith("--")
-        if single_dash and arg_string not in self._option_string_actions:
-            return None
-        return super()._parse_optional(arg_string)
 
 
 def _decimal(text: str) -> "int | None":
@@ -70,12 +68,15 @@ def _int_at_least(low: int):
 
     def parse(text: str) -> int:
         value = _decimal(text.removeprefix("-"))
+        if value is not None:
+            value = -value if text.startswith("-") else value
+            if value >= low:
+                return value
+        from argparse import ArgumentTypeError
+
         if value is None:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        value = -value if text.startswith("-") else value
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
+            raise ArgumentTypeError(f"invalid int value: {text!r}")
+        raise ArgumentTypeError(f"must be at least {low}, got {value}")
 
     return parse
 
@@ -238,82 +239,145 @@ def _cmd_convert(ns) -> CommandResult:
     return CommandResult(EXIT_OK, json_text(algebra_to_dict(chosen)), note=note)
 
 
-def build_parser() -> _ArgumentParser:
+# an option takes `nargs` values (0 for a flag), each read by `type`
+_Option = namedtuple(
+    "_Option", "flag nargs type default required help metavar",
+    defaults=(1, str, None, False, None, None),
+)
+# `group`: the flags of a required group, of which a call gives exactly one
+_Command = namedtuple("_Command", "handler help positionals options group", defaults=((), ()))
+
+_COMMANDS = {
+    "analyze": _Command(
+        _cmd_analyze, "domain/Noetherian/gdua flags and center summary", ("file",)
+    ),
+    "mul": _Command(
+        _cmd_mul, "multiply two element expressions", ("file", "e1", "e2"),
+        (_Option("--oracle", 0, default=False, help=_HIDDEN),),
+    ),
+    "deg": _Command(_cmd_deg, "lexicographic bidegree of an element", ("file", "expr")),
+    "iota": _Command(_cmd_iota, "apply the x<->y anti-automorphism", ("file", "expr")),
+    "iso": _Command(_cmd_iso, "decide isomorphism of two presentations", ("file_a", "file_b")),
+    "aut": _Command(_cmd_aut, "automorphism-group description", ("file",)),
+    "center": _Command(_cmd_center, "center description", ("file",)),
+    "gk": _Command(
+        _cmd_gk, "growth dimensions of span{1,x,y,h}", ("file",),
+        (_Option("--max-n", type=_int_at_least(0), required=True),),
+    ),
+    "noeth-witness": _Command(
+        _cmd_noeth_witness, "ideal-chain witness for deg f >= 2", ("file",),
+        (_Option("--depth", type=_int_at_least(1), default=5),),
+    ),
+    "convert": _Command(
+        _cmd_convert, "down-up / generalized down-up conversions", (),
+        (
+            _Option(
+                "--from-downup", 3, metavar=("ALPHA", "BETA", "GAMMA"), help="down-up parameters"
+            ),
+            _Option(
+                "--from-gdua", 4, metavar=("V", "R", "S", "GAMMA"),
+                help="generalized down-up parameters; V as comma-separated coefficients",
+            ),
+            _Option("--to-gdua", metavar="FILE", help="algebra file with deg f <= 1"),
+            _Option("--field", default="Q", help="ground field: Q or Fp:<p>"),
+            _Option("--choice", type=_int_at_least(0), default=0, help="root ordering to select"),
+        ),
+        group=("--from-downup", "--from-gdua", "--to-gdua"),
+    ),
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _is_option(token: str) -> bool:
+    # every option but -h is spelled "--name", so an argument such as
+    # "-3*x" or "-5/2" is a value, not an unknown option
+    return token.startswith("--") or token == "-h"
+
+
+def _read_argv(argv):
+    """The namespace argparse gives a well-formed argv of the plain form, or
+    None for any other argv.
+
+    The plain form: a command name, then its positionals and its options in
+    any order, each option spelled in full, at most once and followed by
+    exactly its values; no value is an option token, every value passes its
+    type, and the required options and one flag of the group are given.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = {opt.flag: opt for opt in command.options}
+    values = {_dest(opt.flag): opt.default for opt in command.options}
+    given, positionals = set(), []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not _is_option(token):
+            positionals.append(token)
+            continue
+        opt = options.get(token)
+        if opt is None or token in given:
+            return None
+        given.add(token)
+        texts = list(itertools.islice(tokens, opt.nargs))
+        if len(texts) < opt.nargs or any(map(_is_option, texts)):
+            return None
+        try:
+            read = [opt.type(text) for text in texts]
+        except Exception:  # argparse reads the value again and reports the error
+            return None
+        values[_dest(opt.flag)] = read[0] if opt.nargs == 1 else read or True
+    if len(positionals) != len(command.positionals):
+        return None
+    if any(opt.required and opt.flag not in given for opt in command.options):
+        return None
+    if command.group and len(given.intersection(command.group)) != 1:
+        return None
+    positionals = dict(zip(command.positionals, positionals))
+    return SimpleNamespace(command=argv[0], handler=command.handler, **positionals, **values)
+
+
+def build_parser() -> "argparse.ArgumentParser":
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
+        def _parse_optional(self, arg_string):
+            if arg_string.startswith("-") and not _is_option(arg_string):
+                return None
+            return super()._parse_optional(arg_string)
+
     parser = _ArgumentParser(
         prog="qgha",
         description="Exact symbolic kernel for quantum generalized Heisenberg algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="domain/Noetherian/gdua flags and center summary")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_analyze)
-
-    p = sub.add_parser("mul", help="multiply two element expressions")
-    p.add_argument("file")
-    p.add_argument("e1")
-    p.add_argument("e2")
-    p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(handler=_cmd_mul)
-
-    p = sub.add_parser("deg", help="lexicographic bidegree of an element")
-    p.add_argument("file")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_deg)
-
-    p = sub.add_parser("iota", help="apply the x<->y anti-automorphism")
-    p.add_argument("file")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_iota)
-
-    p = sub.add_parser("iso", help="decide isomorphism of two presentations")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.set_defaults(handler=_cmd_iso)
-
-    p = sub.add_parser("aut", help="automorphism-group description")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_aut)
-
-    p = sub.add_parser("center", help="center description")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_center)
-
-    p = sub.add_parser("gk", help="growth dimensions of span{1,x,y,h}")
-    p.add_argument("file")
-    p.add_argument("--max-n", type=_int_at_least(0), required=True, dest="max_n")
-    p.set_defaults(handler=_cmd_gk)
-
-    p = sub.add_parser("noeth-witness", help="ideal-chain witness for deg f >= 2")
-    p.add_argument("file")
-    p.add_argument("--depth", type=_int_at_least(1), default=5)
-    p.set_defaults(handler=_cmd_noeth_witness)
-
-    p = sub.add_parser("convert", help="down-up / generalized down-up conversions")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument(
-        "--from-downup",
-        nargs=3,
-        metavar=("ALPHA", "BETA", "GAMMA"),
-        help="down-up parameters",
-    )
-    group.add_argument(
-        "--from-gdua",
-        nargs=4,
-        metavar=("V", "R", "S", "GAMMA"),
-        help="generalized down-up parameters; V as comma-separated coefficients",
-    )
-    group.add_argument("--to-gdua", metavar="FILE", help="algebra file with deg f <= 1")
-    p.add_argument("--field", default="Q", help="ground field: Q or Fp:<p>")
-    p.add_argument("--choice", type=_int_at_least(0), default=0, help="root ordering to select")
-    p.set_defaults(handler=_cmd_convert)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for dest in command.positionals:
+            p.add_argument(dest)
+        group = p.add_mutually_exclusive_group(required=True) if command.group else None
+        for opt in command.options:
+            kwargs = {"help": argparse.SUPPRESS if opt.help is _HIDDEN else opt.help}
+            if opt.nargs == 0:
+                kwargs.update(action="store_true")
+            else:
+                kwargs.update(
+                    nargs=opt.nargs if opt.nargs > 1 else None, type=opt.type,
+                    default=opt.default, required=opt.required, metavar=opt.metavar,
+                )
+            (group if opt.flag in command.group else p).add_argument(opt.flag, **kwargs)
+        p.set_defaults(handler=command.handler)
     return parser
 
 
 def run(argv) -> CommandResult:
     try:
-        ns = build_parser().parse_args(argv)
+        ns = _read_argv(argv) or build_parser().parse_args(argv)
         return ns.handler(ns)
     except _UsageError as exc:
         return CommandResult(EXIT_USAGE, error=f"usage error: {exc}")

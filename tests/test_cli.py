@@ -1,5 +1,9 @@
+import ast
+import hashlib
 import inspect
+import itertools
 import json
+import os
 import re
 import resource
 import subprocess
@@ -11,9 +15,10 @@ import pytest
 import qgha
 import qgha.structure
 from qgha import Poly, errors
-from qgha.cli import main, run
+from qgha.cli import _read_argv, _UsageError, build_parser, main, run
 
 from conftest import child_env
+from make_digests import CORPUS_DIRS, TESTS
 
 
 def write_algebra(tmp_path, name, data):
@@ -684,10 +689,15 @@ _NOT_FOR_CLASSIFY = {"qgha.structure", "qgha.exprparse", "qgha.rewrite"}
         (["aut", "@q2"], {"qgha.classify"}, _NOT_FOR_CLASSIFY),
         (["convert", "--to-gdua", "@lin"], {"qgha.classify"}, _NOT_FOR_CLASSIFY),
         (["convert", "--from-downup", "2", "-1", "0"], {"qgha.classify"}, _NOT_FOR_CLASSIFY),
+        (
+            ["convert", "--from-gdua", "0,0,1", "1", "1", "5", "--field", "Fp:7"],
+            {"qgha.classify"},
+            _NOT_FOR_CLASSIFY,
+        ),
     ],
     ids=[
         "deg", "mul", "iota", "mul-oracle", "analyze", "center", "gk", "noeth-witness",
-        "iso", "aut", "convert-to-gdua", "convert-from-downup",
+        "iso", "aut", "convert-to-gdua", "convert-from-downup", "convert-from-gdua",
     ],
 )
 def test_subcommand_imports_only_its_modules(argv, needed, unused, q1_h2_h, q2_h2_h, linear):
@@ -700,5 +710,174 @@ def test_subcommand_imports_only_its_modules(argv, needed, unused, q1_h2_h, q2_h
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.splitlines()[-1].split())
     assert needed <= loaded
+    # a well-formed call is read without argparse, which would load gettext and locale
+    unused = unused | {"argparse", "gettext", "locale"}
     assert not loaded & unused, sorted(loaded & unused)
     assert "dataclasses" not in loaded
+
+
+# -- argv that only argparse reads ------------------------------------------
+
+
+def test_argparse_reads_abbreviations_and_inline_values(linear):
+    want = run(["gk", linear, "--max-n", "3"])
+    assert (want.exit_code, want.payload.count("\n")) == (0, 5)
+    assert run(["gk", linear, "--max", "3"]) == want
+    assert run(["gk", linear, "--max-n=3"]) == want
+
+
+def test_double_dash_makes_a_dash_token_a_value(q2_h2_h):
+    assert run(["deg", q2_h2_h, "--", "-x"]).payload == "(1, 0)\n"
+
+
+def test_last_of_a_repeated_option_wins(q1_h2_h):
+    result = run(["noeth-witness", q1_h2_h, "--depth", "3", "--depth", "4"])
+    assert json.loads(result.payload)["depth"] == 4
+
+
+_SUBCOMMANDS = (
+    "analyze", "mul", "deg", "iota", "iso", "aut", "center", "gk", "noeth-witness", "convert"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["convert", "--from", "2", "-1", "0"],
+            "ambiguous option: --from could match --from-downup, --from-gdua",
+        ),
+        (
+            ["convert", "--from-downup", "0", "1", "0", "--to-gdua", "a.json"],
+            "argument --to-gdua: not allowed with argument --from-downup",
+        ),
+        (
+            ["frobnicate"],
+            "argument command: invalid choice: 'frobnicate' (choose from "
+            + ", ".join(map(repr, _SUBCOMMANDS)) + ")",
+        ),
+    ],
+    ids=["ambiguous", "exclusive", "invalid-choice"],
+)
+def test_usage_error_messages(argv, message):
+    assert run(argv) == (1, "", "", f"usage error: {message}")
+
+
+# sha256 of the -h text of qgha and of each subcommand, 80 columns wide
+_HELP_SHA256 = {
+    "": "795e9003e3a396d1a6526c907737ce6533aa1ee3806c0f64e5ca833b18722207",
+    "analyze": "eeb46422a6a07e595d5408cbf9c4347880ddb3cd827259ea79cc4c76d7b9ed2e",
+    "mul": "a18844f1f2874d7b18f4d8002c04a147a9821feee86972b29eb8674bce6eb690",
+    "deg": "3ce39068290e8995fac1431b4b0c0244f59c87d94ee86bfb31bbe478e781c9b9",
+    "iota": "82ca269f3f53c93e39004d259670aa4015ea3de2ed8fd14ef0fe2ee8fae3ed54",
+    "iso": "05c724d643671c10cc10c837633534566b7b996d29192dc2f4044e6b28248437",
+    "aut": "7b3df464f43edfafde8b261d9a3ea099a631e9756ed38003df2641d6cb9ba7f7",
+    "center": "a6e5effa617acbac7c3cd8b246e2a661ad2deb35917b6535aa9eca363a3eecd9",
+    "gk": "baa9b96e54e32f7576ebb01cacb3d1b238ce8dab3e74b2961d70f5384763cf9c",
+    "noeth-witness": "b0865468a360bc987a1fc6127404f826cd9688664964b168d24eba6af67adfbc",
+    "convert": "a9a43eb6786f6afc612a0fcca7adcd48adabce275bcfdd11510eb35f660a97a5",
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="recorded with Python 3.11; argparse lays out its help differently across releases",
+)
+@pytest.mark.parametrize("command", list(_HELP_SHA256), ids=lambda c: c or "qgha")
+def test_help_texts_unchanged(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run([command, "-h"] if command else ["-h"]) == (0, "", "", "")
+    text = capsys.readouterr().out
+    assert text.startswith(f"usage: qgha {command}".rstrip())
+    assert hashlib.sha256(text.encode()).hexdigest() == _HELP_SHA256[command]
+
+
+# -- the plain-argv reader against argparse ---------------------------------
+# _read_argv takes an argv only where argparse takes it too, with the same
+# namespace; every other argv is argparse's to read.
+
+_VALUE_COUNTS = {
+    "--oracle": 0, "--max-n": 1, "--depth": 1, "--from-downup": 3, "--from-gdua": 4,
+    "--to-gdua": 1, "--field": 1, "--choice": 1,
+}
+_ABBREVIATIONS = {"--max-n": "--max", "--depth": "--dep", "--from-downup": "--from",
+                  "--from-gdua": "--from"}
+
+
+def _fixed_cli_argvs():
+    with open(os.path.join(CORPUS_DIRS[1], "cli.json"), encoding="utf-8") as handle:
+        return [entry["argv"] for entry in json.load(handle)["fixed"]]
+
+
+def _recorded_argvs():
+    """The argv of every digest, of every fixed cli-corpus entry, and of each
+    argv list literal in this file (a file name for each element that is not
+    a string)."""
+    with open(os.path.join(TESTS, "digests.json"), encoding="utf-8") as handle:
+        argvs = [entry["argv"] for entry in json.load(handle)]
+    argvs += _fixed_cli_argvs()
+    with open(__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.List) or not node.elts:
+            continue
+        texts = [e.value if isinstance(e, ast.Constant) else "a.json" for e in node.elts]
+        if texts[0] in _SUBCOMMANDS and all(isinstance(t, str) for t in texts):
+            argvs.append(texts)
+    return argvs
+
+
+def _variants(argv):
+    """argv, and argv respelled or broken in the ways only argparse reads."""
+    yield argv
+    options, positionals, i = [], [], 1
+    while i < len(argv):
+        count = _VALUE_COUNTS.get(argv[i])
+        if count is None:
+            positionals.append(i)
+            i += 1
+        else:
+            options.append((i, count))
+            i += 1 + count
+    # the options before the positionals
+    moved = [t for start, n in options for t in argv[start : start + 1 + n]]
+    yield argv[:1] + moved + [argv[i] for i in positionals]
+    for i, n in options:
+        flag, values, rest = argv[i], argv[i + 1 : i + 1 + n], argv[i + 1 + n :]
+        if n == 1:
+            yield argv[:i] + [f"{flag}={values[0]}"] + rest
+        if flag in _ABBREVIATIONS:
+            yield argv[:i] + [_ABBREVIATIONS[flag]] + argv[i + 1 :]
+        yield argv + [flag, *values]  # repeated
+        yield argv[:i] + rest  # left out
+        if n:
+            yield argv[:i] + [flag, *values[:-1]] + rest  # one value too few
+        yield argv[:i] + [flag, *values, "0"] + rest  # one value too many
+    for i in positionals:
+        yield argv[:i] + ["--", "-x"] + argv[i + 1 :]
+        yield argv[:i] + ["--"] + argv[i:]
+        yield argv[:i] + argv[i + 1 :]  # one positional too few
+    yield argv + ["x"]  # one positional too many
+    for i in range(1, len(argv) + 1):
+        yield argv[:i] + ["-h"] + argv[i:]
+
+
+def test_reader_never_disagrees_with_argparse():
+    parser = build_parser()
+    seen, accepted = set(), set()
+    for base in _recorded_argvs():
+        for argv in _variants(base):
+            if tuple(argv) in seen:
+                continue
+            seen.add(tuple(argv))
+            ns = _read_argv(argv)
+            if ns is None:
+                continue
+            accepted.add(tuple(argv))
+            try:
+                want = parser.parse_args(argv)
+            except (_UsageError, SystemExit):
+                pytest.fail(f"argparse refuses an argv the reader takes: {argv}")
+            assert vars(ns) == vars(want), argv
+    # the benchmark's fixed calls all take the reader's path
+    assert {tuple(argv) for argv in _fixed_cli_argvs()} <= accepted

@@ -890,16 +890,31 @@ def _bound_cases():
     yield pytest.param(algebra(F7, 2, [3], [0] * 5 + [1]), 7, id="F7-3-h^5")
 
 
-@pytest.mark.parametrize("A, horizon", list(_bound_cases()))
-def test_gk_dims_within_the_gk_dimension_bounds(A, horizon):
-    dims = gk_dimension_sequence(A, horizon).dims
+def _assert_within_gk_bounds(A, dims):
     assert all(dim >= comb(n + 3, 3) for n, dim in enumerate(dims)), dims
     s = A.f.degree()
     if s <= 1:
         a = max(1, (max(A.g.degree(), 0) + 1) // 2)
         assert all(dim <= _weight_count(a, n) for n, dim in enumerate(dims)), dims
     else:
-        assert all(dim >= low for dim, low in zip(dims, _xh_word_degrees(s, horizon))), dims
+        lows = _xh_word_degrees(s, len(dims) - 1)
+        assert all(dim >= low for dim, low in zip(dims, lows)), dims
+
+
+@pytest.mark.parametrize("A, horizon", list(_bound_cases()))
+def test_gk_dims_within_the_gk_dimension_bounds(A, horizon):
+    _assert_within_gk_bounds(A, gk_dimension_sequence(A, horizon).dims)
+
+
+def test_growth_pool_dims_within_the_gk_dimension_bounds():
+    # the recorded dims alone: test_gk_matches_the_recorded_growth_pool ties
+    # them to gk, so this runs no gk
+    with open(os.path.join(CORPUS, "growth_pool.json"), encoding="utf-8") as handle:
+        pool = json.load(handle)
+    assert len(pool["entries"]) == 45
+    for entry in pool["entries"]:
+        assert len(entry["dims"]) == pool["horizon"] + 1, entry["id"]
+        _assert_within_gk_bounds(algebra_from_dict(entry["algebra"]), entry["dims"])
 
 
 def test_gk_dimension_bound_counts():
