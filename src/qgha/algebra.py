@@ -327,7 +327,7 @@ def _times(
                     cur = row.get(key)
                     row[key] = p if cur is None else cur + p
         for (s, u), r in row.items():
-            p = _sigma(f, images, p1, s) * r
+            p = (_sigma(f, images, p1, s) if s else p1) * r
             key = (i1 + s, u)
             cur = out.get(key)
             if cur is not None:

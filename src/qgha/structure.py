@@ -271,6 +271,9 @@ def _integer_row(terms: dict, p: Optional[int]) -> dict:
     i(d+1) + j orders those of degree d.  The rank rises strictly with
     (i+j+k, i, j, k), since k = d - i - j, so max() of a row is its pivot;
     and one int needs no field width, whatever the degree cap.
+    Along one polynomial the rank is stepped, not evaluated: from j to j+1
+    it rises by step = (d+1)^2 + i + 1, and step by inc = 2d + 3, which
+    rises by 2, so each coefficient costs three additions.
     """
     den = 1 if p is not None else lcm(*(t._den for t in terms.values()))
     row = {}
@@ -279,22 +282,33 @@ def _integer_row(terms: dict, p: Optional[int]) -> dict:
         if t._den != den:
             scale = den // t._den
             nums = [v * scale for v in nums]
-        for j, v in enumerate(nums):
+        d = i + k
+        key = d * (d + 1) * (2 * d + 1) // 6 + i * (d + 1)  # rank at j = 0
+        step, inc = (d + 1) ** 2 + i + 1, 2 * d + 3
+        for v in nums:
             if v:
-                d = i + j + k
-                row[d * (d + 1) * (2 * d + 1) // 6 + i * (d + 1) + j] = v
+                row[key] = v
+            key += step
+            step += inc
+            inc += 2
     return row
 
 
 def _reduce_insert(echelon: dict, row: dict, p: Optional[int]) -> bool:
-    """Reduce row against echelon; store a nonzero remainder unscaled as a pivot; True if stored."""
+    """Reduce row against echelon; store a nonzero remainder unscaled as a pivot; True if stored.
+
+    Takes ownership of `row`: reduces it in place, or stores it as given
+    when no step touched it.  Stored pivots are only read.
+    """
+    reduced = False
     while row:
         top = max(row)
         pivot = echelon.get(top)
         if pivot is None:
             # a copy drops the free slots of every entry the reduction deleted
-            echelon[top] = dict(row)
+            echelon[top] = dict(row) if reduced else row
             return True
+        reduced = True
         if p is None:
             # row <- a*row - c*pivot cancels the pivot monomial; a > 0, so no pass negates row
             a, c = pivot[top], row[top]
@@ -335,10 +349,12 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
     composed with f once.
     Each generator keeps its rows y^k1 * generator for the whole run too, so
     a run straightens at most 3 * (max_n + 1) of them.
-    Rows are scaled freely, which leaves their span unchanged, and a row is
-    stored as the reduction left it over either field; only the reduction
-    step differs: over Q it cross-multiplies in place, over F_p it scales
-    by the inverse of the pivot's entry.
+    Rows are keyed by ranks stepped along each polynomial and scaled
+    freely, which leaves their span unchanged.  A row is stored as the
+    reduction left it over either field, and one that no step touched is
+    stored without a copy.  Only the reduction step differs: over Q it
+    cross-multiplies in place, over F_p it scales by the inverse of the
+    pivot's entry.
     """
     if max_n < 0:
         raise InvalidArgument("max_n must be nonnegative")

@@ -4,7 +4,7 @@ import os
 import random
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -708,6 +708,24 @@ def test_integer_row_scales_by_the_denominator_lcm():
     ]
     assert keys == [_rank(i, j, k) for _, i, j, k in triples]
     assert all(a < b for a, b in zip(keys, keys[1:]))
+    # the keys are stepped along each polynomial: long ones, with interior
+    # zeros, at every (i, k) in {0..4}^2 keep each key at _rank(i, j, k)
+    for field, p, coeff in (
+        (QQ, None, lambda i, j, k: Fraction((3 * j + i + 2 * k) % 11 - 5, 1 + (i + j + k) % 6)),
+        (F7, 7, lambda i, j, k: (3 * j + i + 2 * k) % 7),
+    ):
+        coeffs = {
+            (i, k): [0 if j % 5 == 2 else coeff(i, j, k) for j in range(40 + i + k)] + [1]
+            for i, k in itertools.product(range(5), repeat=2)
+        }
+        den = 1 if p else lcm(*(c.denominator for cs in coeffs.values() for c in cs))
+        row = _integer_row({ik: Poly(cs, field) for ik, cs in coeffs.items()}, p)
+        assert row == {
+            _rank(i, j, k): c * den
+            for (i, k), cs in coeffs.items()
+            for j, c in enumerate(cs)
+            if c
+        }
 
 
 def test_reduce_insert_row_forms():
