@@ -1,10 +1,10 @@
 """Configurable capacity bounds.
 
 Degrees multiply under repeated substitution of f, so unguarded inputs can
-exhaust memory; exhaustive searches (roots over F_p, expression expansion,
-the gk horizon, the witness depth) are likewise only viable when small.
-A caller sets both bounds by assigning DEGREE_CAP and SEARCH_CAP, as the
-`qgha` command does from QGHA_CAPACITY when it starts.
+exhaust memory; SEARCH_CAP bounds every exhaustive search: root search,
+enumeration and order computation in F_p, expression expansion, the gk
+horizon and the witness depth.  A caller sets both bounds by assigning
+DEGREE_CAP and SEARCH_CAP, as `qgha` does from QGHA_CAPACITY when it starts.
 """
 
 from .errors import CapacityExceeded

@@ -22,13 +22,13 @@ QGHA_CAPACITY environment variable once, when the command starts: a whole
 ASCII count above 0 sets both capacity bounds, anything else keeps them.
 
 The grammar is one table, `_COMMANDS`: each subcommand's handler, help,
-positionals and options (value count, type, default, required, help,
-metavar), and convert's exclusive group.  `run` first tries `_read_argv`,
-which takes only the plain form of a well-formed call and returns the
-namespace argparse would give.  Any other argv (-h, --opt=value, --,
-abbreviations, repeated options, every usage error) goes to the argparse
-parser that `build_parser` makes from the same table, so help texts, messages
-and exit codes are argparse's own.  A well-formed call never imports argparse.
+positionals, options as {flag: argparse `add_argument` keywords}, and
+convert's exclusive group.  `run` first tries `_read_argv`, which takes only
+the plain form of a well-formed call and returns the namespace argparse would
+give.  Any other argv (-h, --opt=value, --, abbreviations, repeated options,
+every usage error) goes to the argparse parser that `build_parser` makes from
+the same table, so help texts, messages and exit codes are argparse's own.
+A well-formed call never imports argparse.
 
 Start-up is part of every call's cost, so each handler imports the modules it
 uses: `deg` never loads the classifier, the growth code or the oracle.
@@ -239,13 +239,8 @@ def _cmd_convert(ns) -> CommandResult:
     return CommandResult(EXIT_OK, json_text(algebra_to_dict(chosen)), note=note)
 
 
-# an option takes `nargs` values (0 for a flag), each read by `type`
-_Option = namedtuple(
-    "_Option", "flag nargs type default required help metavar",
-    defaults=(1, str, None, False, None, None),
-)
-# `group`: the flags of a required group, of which a call gives exactly one
-_Command = namedtuple("_Command", "handler help positionals options group", defaults=((), ()))
+# options: {flag: its add_argument keywords}; group: flags of which a call gives exactly one
+_Command = namedtuple("_Command", "handler help positionals options group", defaults=({}, ()))
 
 _COMMANDS = {
     "analyze": _Command(
@@ -253,7 +248,7 @@ _COMMANDS = {
     ),
     "mul": _Command(
         _cmd_mul, "multiply two element expressions", ("file", "e1", "e2"),
-        (_Option("--oracle", 0, default=False, help=_HIDDEN),),
+        {"--oracle": dict(action="store_true", help=_HIDDEN)},
     ),
     "deg": _Command(_cmd_deg, "lexicographic bidegree of an element", ("file", "expr")),
     "iota": _Command(_cmd_iota, "apply the x<->y anti-automorphism", ("file", "expr")),
@@ -262,26 +257,26 @@ _COMMANDS = {
     "center": _Command(_cmd_center, "center description", ("file",)),
     "gk": _Command(
         _cmd_gk, "growth dimensions of span{1,x,y,h}", ("file",),
-        (_Option("--max-n", type=_int_at_least(0), required=True),),
+        {"--max-n": dict(type=_int_at_least(0), required=True)},
     ),
     "noeth-witness": _Command(
         _cmd_noeth_witness, "ideal-chain witness for deg f >= 2", ("file",),
-        (_Option("--depth", type=_int_at_least(1), default=5),),
+        {"--depth": dict(type=_int_at_least(1), default=5)},
     ),
     "convert": _Command(
         _cmd_convert, "down-up / generalized down-up conversions", (),
-        (
-            _Option(
-                "--from-downup", 3, metavar=("ALPHA", "BETA", "GAMMA"), help="down-up parameters"
+        {
+            "--from-downup": dict(
+                nargs=3, metavar=("ALPHA", "BETA", "GAMMA"), help="down-up parameters"
             ),
-            _Option(
-                "--from-gdua", 4, metavar=("V", "R", "S", "GAMMA"),
+            "--from-gdua": dict(
+                nargs=4, metavar=("V", "R", "S", "GAMMA"),
                 help="generalized down-up parameters; V as comma-separated coefficients",
             ),
-            _Option("--to-gdua", metavar="FILE", help="algebra file with deg f <= 1"),
-            _Option("--field", default="Q", help="ground field: Q or Fp:<p>"),
-            _Option("--choice", type=_int_at_least(0), default=0, help="root ordering to select"),
-        ),
+            "--to-gdua": dict(metavar="FILE", help="algebra file with deg f <= 1"),
+            "--field": dict(default="Q", help="ground field: Q or Fp:<p>"),
+            "--choice": dict(type=_int_at_least(0), default=0, help="root ordering to select"),
+        },
         group=("--from-downup", "--from-gdua", "--to-gdua"),
     ),
 }
@@ -309,29 +304,33 @@ def _read_argv(argv):
     command = _COMMANDS.get(argv[0]) if argv else None
     if command is None:
         return None
-    options = {opt.flag: opt for opt in command.options}
-    values = {_dest(opt.flag): opt.default for opt in command.options}
+    # as argparse: one str value, or a list of `nargs`, or none for a store_true `action`
+    values = {
+        _dest(flag): kw.get("default", False if "action" in kw else None)
+        for flag, kw in command.options.items()
+    }
     given, positionals = set(), []
     tokens = iter(argv[1:])
     for token in tokens:
         if not _is_option(token):
             positionals.append(token)
             continue
-        opt = options.get(token)
-        if opt is None or token in given:
+        kw = command.options.get(token)
+        if kw is None or token in given:
             return None
         given.add(token)
-        texts = list(itertools.islice(tokens, opt.nargs))
-        if len(texts) < opt.nargs or any(map(_is_option, texts)):
+        nargs = 0 if "action" in kw else kw.get("nargs", 1)
+        texts = list(itertools.islice(tokens, nargs))
+        if len(texts) < nargs or any(map(_is_option, texts)):
             return None
         try:
-            read = [opt.type(text) for text in texts]
+            read = [kw.get("type", str)(text) for text in texts]
         except Exception:  # argparse reads the value again and reports the error
             return None
-        values[_dest(opt.flag)] = read[0] if opt.nargs == 1 else read or True
+        values[_dest(token)] = read if "nargs" in kw else read[0] if read else True
     if len(positionals) != len(command.positionals):
         return None
-    if any(opt.required and opt.flag not in given for opt in command.options):
+    if any(kw.get("required") and flag not in given for flag, kw in command.options.items()):
         return None
     if command.group and len(given.intersection(command.group)) != 1:
         return None
@@ -361,16 +360,9 @@ def build_parser() -> "argparse.ArgumentParser":
         for dest in command.positionals:
             p.add_argument(dest)
         group = p.add_mutually_exclusive_group(required=True) if command.group else None
-        for opt in command.options:
-            kwargs = {"help": argparse.SUPPRESS if opt.help is _HIDDEN else opt.help}
-            if opt.nargs == 0:
-                kwargs.update(action="store_true")
-            else:
-                kwargs.update(
-                    nargs=opt.nargs if opt.nargs > 1 else None, type=opt.type,
-                    default=opt.default, required=opt.required, metavar=opt.metavar,
-                )
-            (group if opt.flag in command.group else p).add_argument(opt.flag, **kwargs)
+        for flag, kw in command.options.items():
+            kw = {**kw, "help": argparse.SUPPRESS} if kw.get("help") is _HIDDEN else kw
+            (group if flag in command.group else p).add_argument(flag, **kw)
         p.set_defaults(handler=command.handler)
     return parser
 

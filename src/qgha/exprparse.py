@@ -29,6 +29,7 @@ input).
 from __future__ import annotations
 
 import operator
+import re
 from collections import namedtuple
 
 from .algebra import MAX_EXPONENT, AlgebraParams, Element
@@ -36,37 +37,23 @@ from .capacity import check_search
 from .errors import CapacityExceeded, DivisionByZero, ExprSyntaxError, LexError
 from .serial import DECIMAL
 
-_OPS = set("+-*/^()")
 # first characters of the atoms that a leading '-' binds to
 _SIGNABLE = set("0123456789xyh(")
 MAX_NESTING = 100
 
-# kind is "letter", "number", "op" or "end"
-_Token = namedtuple("_Token", "kind text pos")
+_Token = namedtuple("_Token", "kind text pos")  # kind: "letter", "number", "op" or "end"
+# a token's kind is its group's name; any other character but whitespace is "bad"
+_TOKEN = re.compile(
+    rf"(?P<letter>[xyh])|(?P<number>{DECIMAL.pattern})|(?P<op>[-+*/^()])|(?P<bad>\S)"
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "xyh":
-            tokens.append(_Token("letter", ch, i))
-            i += 1
-            continue
-        number = DECIMAL.match(text, i)
-        if number:
-            tokens.append(_Token("number", number.group(), i))
-            i = number.end()
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise LexError(f"unexpected character {ch!r}", i)
+    for match in _TOKEN.finditer(text):
+        if match.lastgroup == "bad":
+            raise LexError(f"unexpected character {match.group()!r}", match.start())
+        tokens.append(_Token(match.lastgroup, match.group(), match.start()))
     tokens.append(_Token("end", "", len(text)))
     return tokens
 

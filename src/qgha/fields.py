@@ -94,7 +94,8 @@ class FieldSpec:
         return "Q" if self.p is None else f"F_{self.p}"
 
     def scalar(self, value) -> Scalar:
-        """Coerce an int, Fraction, digit string or Scalar into this field; floats are refused."""
+        """Coerce an int, Fraction, Scalar or str (what `fractions.Fraction` parses); floats are
+        refused.  `serial.scalar_from_text` and the CLI check text from files and argv first."""
         if isinstance(value, Scalar):
             if value.field != self:
                 raise FieldMismatch(f"scalar over {value.field}, expected {self}")

@@ -58,6 +58,19 @@ def test_whitespace_insignificant(A):
     assert parse_element_expr("1 / 2", A) == Element.from_scalar(A, Fraction(1, 2))
 
 
+def test_whitespace_is_str_isspace(A):
+    # tab, a separator control, NEXT LINE and the ideographic space are all
+    # str.isspace(); ZERO WIDTH SPACE is not, nor is a digit, ARABIC-INDIC THREE
+    for space in ("\t", "\x1c", "\x85", "\u3000"):
+        assert parse_element_expr(f"{space}y{space}*{space}x{space}", A) == A.y() * A.x()
+        half = parse_element_expr(f"1{space}/{space}2", A)
+        assert half == Element.from_scalar(A, Fraction(1, 2))
+    for bad in ("\u200b", "\u0663"):
+        with pytest.raises(LexError) as info:
+            parse_element_expr(f"y * {bad}x", A)
+        assert info.value.position == 4
+
+
 def test_power_zero_and_one(A):
     assert parse_element_expr("x^0", A) == A.one()
     assert parse_element_expr("h^1", A) == A.h()

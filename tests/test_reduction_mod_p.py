@@ -5,7 +5,9 @@ integral, so the normal words x^i h^j y^k are a basis over Z_(p) and
 reducing mod p is a ring map onto the F_p algebra.  Hence:
 - the product over Q, reduced mod p, is the product over F_p;
 - dim V^n over F_p is at most dim V^n over Q;
-- a rational root whose denominator is prime to p reduces to a root mod p.
+- a rational root whose denominator is prime to p reduces to a root mod p;
+- when q, lead f and lead g are prime to p, an automorphism (u, v) over Q
+  with u a unit mod p and v p-integral reduces to one over F_p.
 The Q and F_p paths are separate integer code (numerators over one
 denominator against residues), so each relation checks one branch
 against the other.
@@ -14,7 +16,10 @@ against the other.
 import pytest
 
 import qgha.rewrite
-from qgha import AlgebraParams, Element, FieldSpec, Poly, gk_dimension_sequence, oracle_multiply
+from qgha import (
+    AlgebraParams, Element, FieldSpec, Poly, automorphism_group, gk_dimension_sequence,
+    oracle_multiply,
+)
 from qgha.poly import poly_roots
 
 from conftest import QQ, algebra, random_element, random_poly, rng_for
@@ -111,3 +116,60 @@ def test_rational_roots_reduce_to_roots_mod_p(p):
             assert P.evaluate(r).is_zero()
             if r.value.denominator % p:
                 assert Fp.scalar(r.value) in residues, (P, r)
+
+
+# q, f and g with f(-h + v) = -f(h) + v and g(-h + v) = +-g(h), so that (-1, v)
+# is an automorphism over Q besides (1, 0)
+_SYMMETRIC = [
+    (2, [0, 0, 0, 1], [0, 1]),  # f = h^3, g = h: v = 0
+    (3, [0, 3, -6, 4], [-1, 2]),  # f = 4(h - 1/2)^3 + 1/2, g = 2(h - 1/2): v = 1
+    (-1, [-1, 13, -48, 64], [1, -8, 16]),  # f = 64(h - 1/4)^3 + h, g = 16(h - 1/4)^2: v = 1/2
+    (5, [0, 0, 0, 1, 0, 1], [0, 0, 1]),  # f = h^5 + h^3, g = h^2: v = 0
+    (7, [0, 0, 0, 1], []),  # f = h^3, g = 0: v = 0
+]
+
+
+def _automorphism_presentations(rng, count):
+    """The symmetric presentations, then q != 0 with an odd f of degree 3 and
+    an odd or even g, and integer presentations with deg f >= 2."""
+    out = [algebra(QQ, *entry) for entry in _SYMMETRIC]
+    while len(out) < len(_SYMMETRIC) + count:
+        q = rng.choice([-3, -2, -1, 1, 2, 3])
+        f = Poly([0, rng.randint(-3, 3), 0, rng.randint(1, 3)], QQ)
+        g = Poly([0] * rng.randint(0, 1) + [rng.randint(-3, 3)], QQ)
+        out.append(AlgebraParams(QQ, q, f, g))
+    return out + [A for A in _integer_presentations(rng, 3 * count) if A.f.degree() >= 2]
+
+
+def _units_mod(p, *scalars):
+    return all(s.value.numerator % p and s.value.denominator % p for s in scalars)
+
+
+# nth_roots over F_p scans every residue under the search capacity bound,
+# which F_1000003 exceeds
+@pytest.mark.parametrize("p", PRIMES[:-1])
+def test_automorphisms_over_q_reduce_to_automorphisms_over_f_p(p):
+    rng = rng_for(f"mod-p-aut-{p}")
+    Fp = FieldSpec(p)
+    checked = 0
+    for A in _automorphism_presentations(rng, 8):
+        leads = (A.f.lead(),) if A.g.is_zero() else (A.f.lead(), A.g.lead())
+        if not _units_mod(p, A.q, *leads):  # q = 0 included
+            continue
+        finite_p = set(automorphism_group(_reduce_algebra(A, Fp)).finite_part)
+        for u, v in automorphism_group(A).finite_part:
+            if _units_mod(p, u) and v.value.denominator % p:
+                assert (Fp.scalar(u.value), Fp.scalar(v.value)) in finite_p, (A, p, u, v)
+                checked += 1
+    assert checked >= 10
+
+
+def test_automorphism_u_minus_one_reduces_to_p_minus_one():
+    A = algebra(QQ, 2, [0, 0, 0, 1], [0, 1])
+    assert [tuple(map(str, pair)) for pair in automorphism_group(A).finite_part] == [
+        ("-1", "0"), ("1", "0"),
+    ]
+    A7 = _reduce_algebra(A, FieldSpec(7))
+    assert [tuple(map(str, pair)) for pair in automorphism_group(A7).finite_part] == [
+        ("1", "0"), ("6", "0"),
+    ]
