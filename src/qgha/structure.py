@@ -340,13 +340,23 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
     Maintains an echelonized basis in coordinates indexed by the normal
     monomials x^i h^j y^k, ordered by (i+j+k, then lex (i, j, k)) with the
     largest monomial as pivot; `_integer_row` keys each by one int that
-    keeps this order.  Each step right-multiplies the previous step's novel
-    products by each generator in `_times`, reduces the integer coordinate
-    row against the echelon and inserts what is new, so dims are
-    deterministic.  One sigma memo p -> sigma(p) serves the whole run: a
-    frontier element and its products hold the same polynomials, and the
-    steps of sigma^k(h) are kept there too, so each distinct polynomial is
-    composed with f once.
+    keeps this order.  The products F that step n-1 kept span V^(n-1)
+    over V^(n-2), so V^n = V^(n-1) + FV: each step right-multiplies F by
+    each generator in `_times`, reduces the integer coordinate row against
+    the echelon and inserts what is new, so dims are deterministic.  Each
+    E in F keeps the letter before its word's trailing h's and their
+    count, which mark three products that the relations span already, so
+    they are skipped (s = deg f, w any word):
+    - E*x for E = Ty, T kept by step n-2, and deg g <= 2: (Ty)x =
+      q(Tx)y + T g(h), where Tx and Th lie in V^(n-1), so every term lies
+      in V^(n-1) or in the span of this step's *y and *h products;
+    - E*h for E = wx h^(s-1), s >= 2: hx = xf(h) puts x h^s in V^s, so
+      E*h = wx h^s lies in V^(n-1), which the echelon spans;
+    - E*y for E = wh^s, s >= 2: yh = f(h)y puts h^s y in V^s likewise.
+    No expansion uses a skipped *x product, so the argument has no cycle.
+    One sigma memo p -> sigma(p) serves the whole run: a frontier element
+    and its products hold the same polynomials, and the steps of sigma^k(h)
+    are kept there too, so each distinct polynomial is composed with f once.
     Each generator keeps its rows y^k1 * generator for the whole run too, so
     a run straightens at most 3 * (max_n + 1) of them.
     Rows are keyed by ranks stepped along each polynomial and scaled
@@ -367,16 +377,20 @@ def gk_dimension_sequence(algebra: AlgebraParams, max_n: int) -> GrowthReport:
     unit = {(0, 0): one}
     _reduce_insert(echelon, _integer_row(unit, p), p)
     dims = [len(echelon)]
-    frontier = [unit]
+    frontier = [(unit, None, 0)]  # (terms, 0 = x or 1 = y before the trailing h's, their count)
     gens = [(g, {}) for g in ({(1, 0): one}, {(0, 1): one}, {(0, 0): Poly.h(field)})]
     images: dict = {}
+    s, yx = algebra.f.degree(), algebra.g.degree() <= 2
     for _ in range(max_n):
         new_frontier = []
-        for terms in frontier:
-            for right, rows in gens:
+        for terms, last, hs in frontier:
+            skip = (yx and last == 1 and not hs, 2 <= s <= hs, 2 <= s == hs + 1 and last == 0)
+            for z, (right, rows) in enumerate(gens):
+                if skip[z]:
+                    continue
                 candidate = _times(algebra, terms, right, images, rows)
                 if _reduce_insert(echelon, _integer_row(candidate, p), p):
-                    new_frontier.append(candidate)
+                    new_frontier.append((candidate, last, hs + 1) if z == 2 else (candidate, z, 0))
         dims.append(len(echelon))
         frontier = new_frontier
     return GrowthReport(tuple(dims))

@@ -684,6 +684,79 @@ def test_gk_q2_h2p1_h3_to_n9():
     assert gk_dimension_sequence(A, 9).dims == dims
 
 
+def _gk_dims_unpruned(A, max_n):
+    """gk's loop with no product skipped: every new element of V^(n-1) times
+    x, y and h, through the same `_times`, rows and echelon."""
+    field = A.field
+    p = field.p
+    echelon: dict = {}
+    one = Poly.one(field)
+    unit = {(0, 0): one}
+    _reduce_insert(echelon, _integer_row(unit, p), p)
+    dims = [len(echelon)]
+    frontier = [unit]
+    gens = [(g, {}) for g in ({(1, 0): one}, {(0, 1): one}, {(0, 0): Poly.h(field)})]
+    images: dict = {}
+    for _ in range(max_n):
+        new_frontier = []
+        for terms in frontier:
+            for right, rows in gens:
+                candidate = _times(A, terms, right, images, rows)
+                if _reduce_insert(echelon, _integer_row(candidate, p), p):
+                    new_frontier.append(candidate)
+        dims.append(len(echelon))
+        frontier = new_frontier
+    return dims
+
+
+def _drawn_coefficients(rng, field, degree):
+    """Coefficients of a drawn polynomial of exactly this degree; none for degree < 0."""
+    if degree < 0:
+        return []
+    lead = random_scalar(rng, field)
+    while lead.is_zero():
+        lead = random_scalar(rng, field)
+    return [random_scalar(rng, field) for _ in range(degree)] + [lead]
+
+
+def _drawn_presentations():
+    """One drawn presentation per deg f in 0..5 and deg g in -inf..3, with q
+    cycling through 0, 1 and a drawn value and the field through Q and F_p,
+    so that every (q, field) pair meets every degree.  deg f = 5 is over F_p
+    only: over Q its coefficients grow too long for a quick test."""
+    rng = rng_for("gk-unpruned")
+    cases = []
+    for index, (deg_f, deg_g) in enumerate(itertools.product(range(6), (-1, 0, 1, 2, 3))):
+        field = QQ if index % 2 == 0 and deg_f < 5 else FieldSpec(rng.choice((3, 5, 7)))
+        q = (0, 1, None)[index % 3]
+        if q is None:  # drawn, neither 0 nor 1
+            if field.p is None:
+                q = rng.choice((2, -1, Fraction(1, 2), Fraction(-2, 3)))
+            else:
+                q = rng.randrange(2, field.p)
+        f = _drawn_coefficients(rng, field, deg_f)
+        g = _drawn_coefficients(rng, field, deg_g)
+        name = f"f{deg_f}-g{deg_g if deg_g >= 0 else 'zero'}-{field}-q{q}"
+        cases.append(pytest.param(algebra(field, q, f, g), max(5, deg_f + 1), id=name))
+    return cases
+
+
+@pytest.mark.parametrize("A, max_n", _drawn_presentations())
+def test_gk_matches_the_unpruned_loop(A, max_n):
+    assert list(gk_dimension_sequence(A, max_n).dims) == _gk_dims_unpruned(A, max_n)
+
+
+def test_gk_skips_the_products_the_relations_span(monkeypatch):
+    # q = 1, f = h^2, g = h: all three skips apply; the unpruned loop makes
+    # 3 * 67 products, one per new element of V^0..V^4 and generator
+    A = load_algebra(os.path.join(CORPUS, "q1_h2_h.json"))
+    times = qgha.structure._times
+    calls: list = []
+    monkeypatch.setattr(qgha.structure, "_times", lambda *args: calls.append(1) or times(*args))
+    assert gk_dimension_sequence(A, 5).dims == (1, 4, 12, 30, 67, 140)
+    assert len(calls) == 165
+
+
 def _rank(i, j, k):
     """Rank of x^i h^j y^k among the triples (d, i, j), d = i+j+k."""
     d = i + j + k
