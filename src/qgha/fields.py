@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic over Q and over prime fields F_p.
+"""Exact scalars over Q and over prime fields F_p, and every ground-field search.
 
 Scalars are immutable value objects.  Rationals are kept in lowest terms with
 positive denominator (Fraction guarantees this); prime-field values are
@@ -8,13 +8,16 @@ Plain Python ints coerce into either field in arithmetic.
 Both fields run one code path: `FieldSpec.scalar` coerces through Fraction,
 `Scalar._reduced` takes a result mod p over F_p and leaves it as is over Q,
 and powers, negative ones included, are pow(value, e, p) with p = None
-over Q.  The characteristic matters only where roots are searched.
+over Q.  The characteristic matters only in the searches, which all live
+here with their capacity guards, on integer lists: `FieldSpec.elements`,
+`_roots` (behind `poly.poly_roots`), `nth_roots` and `root_of_unity_order`.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .capacity import check_search
 from .errors import (
@@ -306,7 +309,7 @@ def nth_roots(m: int, c: Scalar) -> set[Scalar]:
 
     Over Q the candidates are +-r, with r the integer m-th roots of |numerator|
     and denominator, kept when r^m = c (this covers both signs for odd and
-    even m); over F_p they are the roots of u^m - c.
+    even m); over F_p, c itself for m = 1, else the `_roots` of u^m - c.
     """
     if m < 1:
         raise InvalidArgument("m must be positive")
@@ -317,6 +320,42 @@ def nth_roots(m: int, c: Scalar) -> set[Scalar]:
         v = c.value
         root = Fraction(_int_nth_root(abs(v.numerator), m), _int_nth_root(v.denominator, m))
         return {field.scalar(r) for r in (root, -root) if r**m == v}
-    from .poly import Poly, poly_roots  # poly imports this module
+    if m == 1:
+        return {c}
+    return _roots([-c.value % field.p] + [0] * (m - 1) + [1], field)
 
-    return poly_roots(Poly([-c] + [0] * (m - 1) + [1], field))
+
+def _horner(rev, u: int, v: int) -> int:
+    """sum rev[i] * u^(d-i) * v^i, d = len(rev) - 1: v^d times the
+    polynomial at u/v whose numerators, from the leading one down, are rev."""
+    acc, w = 0, 1  # w = v^i
+    for c in rev:
+        acc = acc * u + c * w
+        w *= v
+    return acc
+
+
+def _roots(nums, field: FieldSpec) -> set[Scalar]:
+    """Roots in field of the nonzero polynomial with ascending numerators nums.
+    Over F_p: each residue, by an inline Horner mod p (a call per residue
+    costs ~20%), behind the search bound.  Over Q: 0 if n_0 = 0, and each
+    coprime +-u/v with u | n_low, v | n_d over the content (rational-root
+    theorem; n_low the lowest nonzero n_i) at which `_horner` is 0."""
+    mod = field.p
+    rev = nums[::-1]
+    if mod is not None:
+        check_search(mod, f"root search in F_{mod}")
+        roots = set()
+        for r in range(mod):
+            acc = 0
+            for c in rev:
+                acc = (acc * r + c) % mod
+            if not acc:
+                roots.add(Scalar(r, field))
+        return roots
+    content = gcd(*nums)
+    lows = _divisors(next(c for c in nums if c) // content)
+    leads = _divisors(nums[-1] // content)
+    pairs = ((s, v) for u in lows for v in leads if gcd(u, v) == 1 for s in (u, -u))
+    roots = {field.scalar(Fraction(u, v)) for u, v in pairs if not _horner(rev, u, v)}
+    return roots if nums[0] else roots | {field.zero}

@@ -11,9 +11,9 @@ integers and fills the three slots, `_canonical` fills them with integers
 already canonical.  A sum over equal denominators, as always over F_p,
 adds the numerators with no lcm.  A `Scalar` is built only at the boundary:
 `_scalar` turns one numerator into one, and `coeffs`, `lead`, `coeff` and
-`monomials` read through it on each call; `evaluate` and the rational
-roots of `poly_roots` run `_horner` on the numerators.  The zero polynomial
-has no numerators and degree NEG_INF, which compares below every integer.
+`monomials` read through it on each call; `evaluate` runs `fields._horner`
+on the numerators, and `poly_roots` hands them to `fields._roots`.  The
+zero polynomial has no numerators and degree NEG_INF, below every integer.
 
 Products of coefficient lists (`_int_conv`) scale a copy by a
 one-coefficient operand, run a schoolbook loop on short operands and a
@@ -47,12 +47,11 @@ import struct
 import sys
 from array import array
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 
-from .capacity import check_degree, check_search
+from .capacity import check_degree
 from .errors import FieldMismatch, InvalidArgument, ZeroPolynomial, ZeroScale
-from .fields import FieldSpec, Scalar, _divisors
+from .fields import FieldSpec, Scalar, _horner, _roots
 
 NEG_INF = float("-inf")
 
@@ -582,48 +581,10 @@ def affine_conjugate(f: Poly, u: Scalar, v: Scalar) -> Poly:
     return u * _pull_back(f, u, v) + Poly.const(v)
 
 
-def _horner(rev, u: int, v: int) -> int:
-    """sum rev[i] * u^(d-i) * v^i, d = len(rev) - 1: v^d times the
-    polynomial at u/v whose numerators, from the leading one down, are rev."""
-    acc, w = 0, 1  # w = v^i
-    for c in rev:
-        acc = acc * u + c * w
-        w *= v
-    return acc
-
-
 def poly_roots(p: Poly) -> set[Scalar]:
-    """All ground-field roots of p != 0: -c0/c1 for a linear p; over Q
-    each candidate u/v where `_horner` of p's numerators at (u, v) is zero.
-
-    The candidates are 0 and, by the rational-root theorem on p / h^low,
-    +-u/v with gcd(u, v) = 1, u | n_low and v | n_d over the content, n_low
-    the lowest nonzero numerator.  Over F_p every residue is tried by
-    Horner mod p, guarded by the search capacity bound.
-    """
+    """All ground-field roots of p != 0: -c0/c1 if linear, else `fields._roots`."""
     if p.is_zero():
         raise ZeroPolynomial("root finding needs a nonzero polynomial")
-    field = p.field
     if p.degree() == 1:
         return {-p.coeff(0) / p.coeff(1)}
-    nums, mod = p._nums, field.p
-    rev = nums[::-1]
-    if mod is not None:
-        check_search(mod, f"root search in F_{mod}")
-        roots = set()
-        for r in range(mod):
-            acc = 0
-            for c in rev:
-                acc = (acc * r + c) % mod
-            if not acc:
-                roots.add(Scalar(r, field))
-        return roots
-    content = gcd(*nums)
-    candidates = chain([(0, 1)], (
-        (s, v)
-        for u in _divisors(next(c for c in nums if c) // content)
-        for v in _divisors(nums[-1] // content)
-        if gcd(u, v) == 1
-        for s in (u, -u)
-    ))
-    return {field.scalar(Fraction(u, v)) for u, v in candidates if not _horner(rev, u, v)}
+    return _roots(p._nums, p.field)

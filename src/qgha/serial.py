@@ -125,12 +125,10 @@ def aut_to_dict(description: AutGroupDescription) -> dict:
 
 
 def center_to_dict(center: CenterDescription) -> dict:
-    from .structure import CenterKind
-
     out: dict = {"kind": center.kind.value}
     if center.ell is not None:
         out["ell"] = center.ell
-    if center.kind is CenterKind.POLYNOMIAL_IN_Z_ELL:
+    if center.a is not None:
         out["a"] = poly_to_list(center.a)
         out["z"] = str(center.z)
     if center.reason:

@@ -15,6 +15,7 @@ from typing import NamedTuple, Optional
 from .algebra import AlgebraParams, Element, _times
 from .capacity import check_search
 from .errors import (
+    CapacityExceeded,
     InternalError,
     InvalidArgument,
     NoFixedPointInField,
@@ -116,8 +117,9 @@ def is_noetherian(
     """Noetherian exactly when deg f = 1 and q != 0.
 
     For deg f >= 2 with a ground-field fixed point of f, the report carries
-    the ideal-chain witness of depth `witness_depth` as evidence; None
-    builds no witness.  The verdict itself comes from the closed criterion.
+    the ideal-chain witness of depth `witness_depth` as evidence; None, or a
+    search past a capacity bound, builds no witness.  The verdict itself
+    comes from the closed criterion.
     """
     deg_f = algebra.f.degree()
     if deg_f == 1 and not algebra.q.is_zero():
@@ -127,7 +129,7 @@ def is_noetherian(
         if deg_f >= 2 and witness_depth is not None:
             try:
                 witness = noetherian_witness_check(algebra, witness_depth)
-            except NoFixedPointInField:
+            except (NoFixedPointInField, CapacityExceeded):
                 witness = None
         return NoetherianReport(False, NoetherianReason.DEG_F_NOT_1, witness)
     return NoetherianReport(False, NoetherianReason.Q_ZERO)

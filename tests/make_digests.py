@@ -35,6 +35,7 @@ DIGESTS = os.path.join(TESTS, "digests.json")
 # q2_h2pbig_h.json has one call below, f5_q2_h5_h_image.json is replayed
 # through `iso` by test_corpus_replay.py's iso-f5 row, and
 # fbig_q3_h2mh_h.json through `mul` against the oracle by its fbig-split row
+# and through `aut` by its aut-fbig row
 ALGEBRAS_Q = [
     "q1_h2_h.json",
     "q1_h2_h_image.json",

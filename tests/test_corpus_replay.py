@@ -35,6 +35,9 @@ EXTRA_OUTPUTS = [
     {"id": "iota-signs", "argv": ["iota", "@qhalf_h2m1_h.json",
                                   "-3/4*x^2*h*y - -2*y + x*-h + (-1/3)^2*h"],
      "why": "a leading '-' on numbers, letters and '(', and '-' after '-' and '*'"},
+    {"id": "aut-fbig", "argv": ["aut", "@fbig_q3_h2mh_h.json"],
+     "why": "over F_(2^61 - 1), far past the search bound: nth_roots(1, c) and a linear C_1 "
+            "search nothing"},
 ]
 
 

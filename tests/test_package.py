@@ -1,7 +1,9 @@
-"""The package namespace: every public name loads on first use, and importing
-the package alone loads only `errors`."""
+"""The package namespace: every public name loads on first use, importing
+the package alone loads only `errors`, and modules import at module level."""
 
+import ast
 import importlib
+import os
 import subprocess
 import sys
 
@@ -54,6 +56,44 @@ def test_every_public_name_resolves_to_its_module():
             assert getattr(qgha, name) is getattr(module, name), name
     for module_name in SUBMODULES:
         assert getattr(qgha, module_name) is sys.modules[f"qgha.{module_name}"]
+
+
+def _imports(path):
+    """(enclosing def or class, or None at module level, imported module) of
+    each import statement in the file; a relative module keeps its dots."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((scope, alias.name) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                found.append((scope, "." * child.level + (child.module or "")))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, child.name if inner else scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_module_graph_is_one_way():
+    # Imports sit at module level, so the graph between modules is the one
+    # their headers state; only the CLI loads per subcommand and only the
+    # package's __getattr__ loads the API on demand.  fields is the bottom
+    # of the arithmetic: poly builds on it, never the other way round.
+    package = os.path.dirname(qgha.__file__)
+    nested = {
+        (name, scope, module)
+        for name in sorted(os.listdir(package))
+        if name.endswith(".py") and name != "cli.py"
+        for scope, module in _imports(os.path.join(package, name))
+        if scope is not None
+    }
+    assert nested == {("__init__.py", "__getattr__", "importlib")}
+    fields = {module for _, module in _imports(os.path.join(package, "fields.py"))}
+    assert not fields & {".poly", "qgha.poly"}, fields
 
 
 def test_unknown_names_raise_attribute_error():

@@ -1013,7 +1013,7 @@ def test_compose_large_degree_over_f17_is_fast():
 
 # -- the Scalar boundary: evaluate, roots and the coefficient readers ------
 # `evaluate` and every `poly_roots` candidate run one integer Horner,
-# `poly._horner`, so both are checked here against references that do not
+# `fields._horner`, so both are checked here against references that do not
 # use it: a Horner loop on Scalars, and sympy's rational roots.
 
 

@@ -85,6 +85,21 @@ def test_noetherian_report_without_a_fixed_point_has_no_witness():
     assert report.witness is None
 
 
+def test_noetherian_report_past_the_search_bound_has_no_witness(set_capacity):
+    # the verdict needs no search; the fixed-point search over F_1000003 is
+    # capped, and so is a witness deeper than the bound
+    set_capacity(10**4)
+    A = algebra(FieldSpec(1000003), 2, [0, 0, 1], [0, 1])
+    with pytest.raises(CapacityExceeded, match="root search in F_1000003"):
+        noetherian_witness_check(A, depth=5)
+    report = is_noetherian(A)
+    assert not report.verdict and report.reason is NoetherianReason.DEG_F_NOT_1
+    assert report.witness is None
+    assert is_noetherian(A, witness_depth=None) == report
+    deep = is_noetherian(algebra(QQ, 1, [0, 0, 1], [0, 1]), witness_depth=10**4 + 1)
+    assert deep.reason is NoetherianReason.DEG_F_NOT_1 and deep.witness is None
+
+
 def test_noetherian_implies_domain_not_conversely():
     # the headline phenomenon: q != 0 with deg f >= 2 is a non-Noetherian domain
     wild = algebra(QQ, 2, [0, 0, 1], [0, 1])
