@@ -36,7 +36,7 @@ _PUBLIC = {
     "serial": "algebra_from_dict algebra_to_dict dump_algebra load_algebra",
     "structure": (
         "CenterDescription CenterKind DomainReport GrowthReport NoetherianReason"
-        " NoetherianReport StrictnessCheck WitnessChain center_describe"
+        " NoetherianReport WitnessChain center_describe"
         " centralizer_of_h_contains gk_dimension_sequence is_central is_domain"
         " is_noetherian noetherian_witness_check solve_sigma_q"
     ),

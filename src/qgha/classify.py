@@ -53,7 +53,8 @@ class IsoWitness(NamedTuple):
     isomorphism: f' = psi o f o psi^{-1}, g' = c*(g o psi^{-1}), q' = q.
 
     The decomposition into the three elementary moves is alpha = v/u
-    (shift), lambda = u (rescale h), lambda*mu = c (rescale g).
+    (shift), lambda = u (rescale h), lambda*mu = c (rescale g);
+    `serial.iso_witness_to_dict` writes it.
     """
 
     u: Scalar
@@ -63,26 +64,6 @@ class IsoWitness(NamedTuple):
     @property
     def alpha(self) -> Scalar:
         return self.v / self.u
-
-    @property
-    def lam(self) -> Scalar:
-        return self.u
-
-    @property
-    def lam_mu(self) -> Scalar:
-        return self.c
-
-    def to_dict(self) -> dict:
-        return {
-            "u": str(self.u),
-            "v": str(self.v),
-            "c": str(self.c),
-            "decomposition": {
-                "alpha": str(self.alpha),
-                "lambda": str(self.lam),
-                "lambda_mu": str(self.lam_mu),
-            },
-        }
 
 
 def apply_witness(algebra: AlgebraParams, witness: IsoWitness) -> AlgebraParams:

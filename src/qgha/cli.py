@@ -108,7 +108,7 @@ def _cmd_analyze(ns) -> CommandResult:
 
     algebra = load_algebra(ns.file)
     domain = is_domain(algebra)
-    noetherian = is_noetherian(algebra, witness_depth=None)  # the verdict only
+    noetherian = is_noetherian(algebra)
     lines = [
         f"domain: {_bool(domain.verdict)} ({domain.reason})",
         f"noetherian: {_bool(noetherian.verdict)} ({noetherian.reason.value})",
@@ -153,13 +153,14 @@ def _cmd_iota(ns) -> CommandResult:
 
 def _cmd_iso(ns) -> CommandResult:
     from .classify import is_isomorphic
+    from .serial import iso_witness_to_dict
 
     left = load_algebra(ns.file_a)
     right = load_algebra(ns.file_b)
     witness = is_isomorphic(left, right)
     if witness is None:
         return CommandResult(EXIT_OK, "not isomorphic\n")
-    return CommandResult(EXIT_OK, json_text(witness.to_dict()))
+    return CommandResult(EXIT_OK, json_text(iso_witness_to_dict(witness)))
 
 
 def _cmd_aut(ns) -> CommandResult:

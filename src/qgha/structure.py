@@ -15,7 +15,6 @@ from typing import NamedTuple, Optional
 from .algebra import AlgebraParams, Element, _times
 from .capacity import check_search
 from .errors import (
-    CapacityExceeded,
     InternalError,
     InvalidArgument,
     NoFixedPointInField,
@@ -52,35 +51,17 @@ class NoetherianReason(enum.Enum):
     DEG_F_NOT_1 = "deg f != 1"
 
 
-class StrictnessCheck(NamedTuple):
-    """Evidence that h*y^(n+1) lies outside the n-th chain ideal."""
-
-    n: int
-    sigma_powers_divisible: bool
-    h_not_divisible: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.sigma_powers_divisible and self.h_not_divisible
-
-
 class WitnessChain(NamedTuple):
-    """Auditable evidence for the strictly ascending chain of left ideals
-    I_n = sum_{i<=n} H*h*y^i after shifting a fixed point of f to 0."""
+    """The strictly ascending chain of left ideals I_n = sum_{i<=n} H*h*y^i,
+    n = 0..depth, after shifting the fixed point beta of f to 0."""
 
     beta: Scalar
     depth: int
-    checks: tuple[StrictnessCheck, ...]
-
-    @property
-    def verified(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 class NoetherianReport(NamedTuple):
     verdict: bool
     reason: NoetherianReason
-    witness: Optional[WitnessChain] = None
 
 
 def noetherian_witness_check(algebra: AlgebraParams, depth: int) -> WitnessChain:
@@ -88,11 +69,12 @@ def noetherian_witness_check(algebra: AlgebraParams, depth: int) -> WitnessChain
     point beta of f in the ground field, by `Scalar.sort_key`.
 
     Shifting h by beta turns f into F = f(h + beta) - beta.  The paper's
-    argument needs two facts, which hold by construction, so each
-    StrictnessCheck records them as True: F(0) = f(beta) - beta = 0, so as
-    p(F(h)) = p(0) mod F, sigma^k(h) is divisible by F for every k >= 1;
-    and F does not divide h, as deg F = deg f >= 2 (a smaller deg f has
-    raised WrongDegree).  So each inclusion I_n c I_{n+1} is strict.
+    argument needs two facts, and both hold for every n by construction:
+    F(0) = f(beta) - beta = 0, so as p(F(h)) = p(0) mod F, sigma^k(h) is
+    divisible by F for every k >= 1; and F does not divide h, as
+    deg F = deg f >= 2 (a smaller deg f has raised WrongDegree).  So each
+    inclusion I_n c I_{n+1} is strict, and beta and the depth are the whole
+    witness.
     """
     f = algebra.f
     field = algebra.field
@@ -106,32 +88,20 @@ def noetherian_witness_check(algebra: AlgebraParams, depth: int) -> WitnessChain
         raise NoFixedPointInField(
             f"f - h has no root over {field}; a base change would be required"
         )
-    beta = min(fixed_points, key=lambda s: s.sort_key())
-    checks = tuple(StrictnessCheck(n, True, True) for n in range(depth + 1))
-    return WitnessChain(beta=beta, depth=depth, checks=checks)
+    return WitnessChain(min(fixed_points, key=lambda s: s.sort_key()), depth)
 
 
-def is_noetherian(
-    algebra: AlgebraParams, witness_depth: Optional[int] = 5
-) -> NoetherianReport:
+def is_noetherian(algebra: AlgebraParams) -> NoetherianReport:
     """Noetherian exactly when deg f = 1 and q != 0.
 
-    For deg f >= 2 with a ground-field fixed point of f, the report carries
-    the ideal-chain witness of depth `witness_depth` as evidence; None, or a
-    search past a capacity bound, builds no witness.  The verdict itself
-    comes from the closed criterion.
+    The verdict comes from this closed criterion and makes no search; for
+    deg f >= 2 the certificate of `false` is `noetherian_witness_check`.
     """
     deg_f = algebra.f.degree()
     if deg_f == 1 and not algebra.q.is_zero():
         return NoetherianReport(True, NoetherianReason.DEG_F_1_AND_Q_NONZERO)
     if deg_f != 1:
-        witness = None
-        if deg_f >= 2 and witness_depth is not None:
-            try:
-                witness = noetherian_witness_check(algebra, witness_depth)
-            except (NoFixedPointInField, CapacityExceeded):
-                witness = None
-        return NoetherianReport(False, NoetherianReason.DEG_F_NOT_1, witness)
+        return NoetherianReport(False, NoetherianReason.DEG_F_NOT_1)
     return NoetherianReport(False, NoetherianReason.Q_ZERO)
 
 

@@ -16,6 +16,7 @@ from qgha import (
     Element,
     FieldSpec,
     NoetherianReason,
+    NoetherianReport,
     Poly,
     center_describe,
     centralizer_of_h_contains,
@@ -40,7 +41,7 @@ from qgha.errors import (
     PreconditionViolated,
     WrongDegree,
 )
-from qgha.serial import algebra_from_dict, load_algebra
+from qgha.serial import algebra_from_dict, load_algebra, witness_chain_to_dict
 from qgha.structure import _integer_row, _reduce_insert
 
 from conftest import (
@@ -68,11 +69,23 @@ def test_is_noetherian_truth_table():
     assert yes.verdict and yes.reason is NoetherianReason.DEG_F_1_AND_Q_NONZERO
     qzero = is_noetherian(algebra(QQ, 0, [0, 1], [0, 1]))
     assert not qzero.verdict and qzero.reason is NoetherianReason.Q_ZERO
-    square = is_noetherian(algebra(QQ, 1, [0, 0, 1], [0, 1]))
-    assert not square.verdict and square.reason is NoetherianReason.DEG_F_NOT_1
-    assert square.witness is not None
-    assert square.witness.beta == QQ.zero
-    assert square.witness.verified
+    square = algebra(QQ, 1, [0, 0, 1], [0, 1])
+    report = is_noetherian(square)
+    assert not report.verdict and report.reason is NoetherianReason.DEG_F_NOT_1
+    witness = noetherian_witness_check(square, 5)
+    assert witness.beta == QQ.zero
+    assert witness_chain_to_dict(witness)["verified"] is True
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_noetherian_verdict_makes_no_search(monkeypatch, field):
+    # the verdict is the closed criterion: no root search, so no witness
+    def no_search(p):
+        raise AssertionError("is_noetherian searched for a root")
+
+    monkeypatch.setattr(qgha.structure, "poly_roots", no_search)
+    A = algebra(field, 1, [0, 0, 1], [0, 1])  # f = h^2
+    assert is_noetherian(A) == NoetherianReport(False, NoetherianReason.DEG_F_NOT_1)
 
 
 def test_noetherian_report_without_a_fixed_point_has_no_witness():
@@ -81,8 +94,7 @@ def test_noetherian_report_without_a_fixed_point_has_no_witness():
     with pytest.raises(NoFixedPointInField):
         noetherian_witness_check(A, depth=2)
     report = is_noetherian(A)
-    assert not report.verdict and report.reason is NoetherianReason.DEG_F_NOT_1
-    assert report.witness is None
+    assert report == NoetherianReport(False, NoetherianReason.DEG_F_NOT_1)
 
 
 def test_noetherian_report_past_the_search_bound_has_no_witness(set_capacity):
@@ -93,11 +105,11 @@ def test_noetherian_report_past_the_search_bound_has_no_witness(set_capacity):
     with pytest.raises(CapacityExceeded, match="root search in F_1000003"):
         noetherian_witness_check(A, depth=5)
     report = is_noetherian(A)
-    assert not report.verdict and report.reason is NoetherianReason.DEG_F_NOT_1
-    assert report.witness is None
-    assert is_noetherian(A, witness_depth=None) == report
-    deep = is_noetherian(algebra(QQ, 1, [0, 0, 1], [0, 1]), witness_depth=10**4 + 1)
-    assert deep.reason is NoetherianReason.DEG_F_NOT_1 and deep.witness is None
+    assert report == NoetherianReport(False, NoetherianReason.DEG_F_NOT_1)
+    square = algebra(QQ, 1, [0, 0, 1], [0, 1])
+    with pytest.raises(CapacityExceeded, match="witness depth"):
+        noetherian_witness_check(square, depth=10**4 + 1)
+    assert is_noetherian(square) == report
 
 
 def test_noetherian_implies_domain_not_conversely():
@@ -112,9 +124,10 @@ def test_noetherian_implies_domain_not_conversely():
 def test_witness_chain_h_square():
     A = algebra(QQ, 1, [0, 0, 1], [0, 1])
     chain = noetherian_witness_check(A, depth=5)
-    assert chain.beta == QQ.zero
-    assert len(chain.checks) == 6
-    assert all(c.passed for c in chain.checks)
+    assert chain == (QQ.zero, 5)
+    checks = witness_chain_to_dict(chain)["checks"]
+    assert [c["n"] for c in checks] == list(range(6))
+    assert all(c["sigma_powers_divisible"] and c["h_not_divisible"] for c in checks)
     # direct division evidence: sigma^k(h) = h^(2^k) is divisible by h^2, h is not
     f = A.f
     power = Poly.h(QQ)
@@ -130,8 +143,8 @@ def test_witness_chain_shifted_fixed_point():
     A = algebra(QQ, 1, f, [0, 1])
     chain = noetherian_witness_check(A, depth=3)
     assert chain.beta == QQ.one
-    assert chain.verified
-    assert is_noetherian(A).witness is not None
+    assert witness_chain_to_dict(chain)["verified"] is True
+    assert not is_noetherian(A).verdict
 
 
 def test_witness_chain_divides_nothing():
@@ -139,8 +152,10 @@ def test_witness_chain_divides_nothing():
     # division, so no division runs
     assert not any(hasattr(Poly, name) for name in ("__divmod__", "__floordiv__", "__mod__"))
     chain = noetherian_witness_check(algebra(QQ, 1, [2, -2, 1], [0, 1]), depth=3)
-    assert chain.beta == QQ.one
-    assert chain.checks == tuple((n, True, True) for n in range(4))
+    assert chain == (QQ.one, 3)
+    assert witness_chain_to_dict(chain)["checks"] == [
+        {"n": n, "sigma_powers_divisible": True, "h_not_divisible": True} for n in range(4)
+    ]
 
 
 def _composed_divisibility(A, beta, depth):
@@ -169,9 +184,14 @@ def test_witness_residues_match_composition():
             chain = noetherian_witness_check(A, depth)
             assert f.evaluate(chain.beta) == chain.beta
             divisible, h_free = _composed_divisibility(A, chain.beta, depth)
-            assert [
-                (c.n, c.sigma_powers_divisible, c.h_not_divisible) for c in chain.checks
-            ] == [(n, all(divisible[: n + 1]), h_free) for n in range(depth + 1)]
+            assert witness_chain_to_dict(chain)["checks"] == [
+                {
+                    "n": n,
+                    "sigma_powers_divisible": all(divisible[: n + 1]),
+                    "h_not_divisible": h_free,
+                }
+                for n in range(depth + 1)
+            ]
 
 
 def test_witness_chain_errors():
@@ -191,7 +211,8 @@ def test_witness_depth_bound():
     start = time.perf_counter()
     chain = noetherian_witness_check(A, depth=cap)
     assert time.perf_counter() - start < 5.0
-    assert len(chain.checks) == cap + 1 and chain.verified
+    printed = witness_chain_to_dict(chain)
+    assert chain.depth == cap and len(printed["checks"]) == cap + 1 and printed["verified"]
     with pytest.raises(CapacityExceeded, match="witness depth of size"):
         noetherian_witness_check(A, depth=cap + 1)
 
@@ -873,7 +894,7 @@ def test_witness_soundness_invariant():
             chain = noetherian_witness_check(A, depth=3)
         except NoFixedPointInField:
             continue
-        if chain.verified:
+        if witness_chain_to_dict(chain)["verified"]:
             assert not is_noetherian(A).verdict
 
 
